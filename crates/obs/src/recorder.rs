@@ -130,6 +130,22 @@ impl SpanRecord {
         }
     }
 
+    /// [`SpanRecord::finish`] for work that ended at `ended` (monotonic,
+    /// not in the future) rather than now: same wall-clock start, the
+    /// duration stops at `ended`.
+    pub fn between(
+        ctx: &TraceContext,
+        parent_id: u64,
+        name: &'static str,
+        started: Instant,
+        ended: Instant,
+        status: SpanStatus,
+    ) -> Self {
+        let mut span = Self::finish(ctx, parent_id, name, started, status);
+        span.duration_ns = ended.saturating_duration_since(started).as_nanos() as u64;
+        span
+    }
+
     /// Append one annotation (builder-style).
     pub fn annotate(mut self, key: &'static str, value: impl Into<String>) -> Self {
         self.annotations.push((key, value.into()));
@@ -273,11 +289,15 @@ impl FlightRecorder {
     }
 
     /// Record one completed span (wait-free; see the module docs).
-    pub fn record(&self, rec: SpanRecord) {
+    pub fn record(&self, mut rec: SpanRecord) {
         if !self.retains(&rec) {
             self.sampled_out.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // A full ring holds thousands of records for the process
+        // lifetime: keep exact-size annotation buffers, not the spare
+        // capacity the builder grew them with.
+        rec.annotations.shrink_to_fit();
         let idx = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         let slot = &self.slots[idx];
         if slot.state.swap(BUSY, Ordering::Acquire) == BUSY {
@@ -445,6 +465,22 @@ mod tests {
             flags: 0,
             annotations: Vec::new(),
         }
+    }
+
+    #[test]
+    fn explicit_end_spans_time_the_window_not_the_record_call() {
+        let ctx = TraceContext::root();
+        let started = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let ended = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let before_ns = unix_now_ns();
+        let span = SpanRecord::between(&ctx, 0, "test.op", started, ended, SpanStatus::Ok);
+        let window_ns = ended.duration_since(started).as_nanos() as u64;
+        assert_eq!(span.duration_ns, window_ns);
+        // The wall-clock start is back-derived from `started`, so it
+        // precedes the record call by the whole elapsed time (>= 22 ms).
+        assert!(span.start_unix_ns + 20_000_000 <= before_ns);
     }
 
     #[test]

@@ -24,21 +24,31 @@
 //! ([`crate::http::start_engine`]); upstream requests ride non-blocking
 //! keep-alive connections multiplexed on a per-handler-thread epoll
 //! instance, so a scatter across R replicas overlaps its upstream I/O
-//! instead of paying R round trips in sequence.
+//! instead of paying R round trips in sequence. A leg asks for
+//! writability only while request bytes remain unwritten, so a thread
+//! waiting on its backends sleeps instead of spinning.
 //!
 //! **Routing.** A [`HashRing`] with virtual nodes maps every
 //! `(workload, kind)` to a preference permutation of all backends (see
 //! [`crate::route`]). The serving set of a key is the first `replicas`
 //! *healthy* entries of that permutation — ejecting a dead backend is
 //! just skipping it, which leaves every other key's routing untouched.
+//! The gateway never parses a float: a structural byte scan finds the
+//! routing fields and each row's byte span, a multi-row `/predict`
+//! splits by byte range (each sub-body is the client's body with only
+//! the `rows` array cut down), and the answers merge by concatenating
+//! their `predictions` arrays.
 //!
 //! **Failover without client errors.** An upstream failure on a
 //! *reused* keep-alive connection is retried once against the same
 //! backend on a fresh connection (a stale pooled connection is not
 //! evidence the backend is down); a fresh-connection failure bumps the
 //! backend's consecutive-failure count (ejecting it at the threshold)
-//! and fails over to the next healthy candidate. `/predict` and `/tune`
-//! are idempotent, so retries are safe by construction.
+//! and fails over to the next healthy candidate. Every upstream request
+//! — scatter leg, passthrough `/predict`, `/tune`, proxied GET — runs
+//! through the same flight machinery, so this contract has one
+//! implementation. `/predict` and `/tune` are idempotent, so retries are
+//! safe by construction.
 //!
 //! **Replication.** Backends started `--peers`-aware extend registry
 //! resolution with a peer-fetch step (memo → disk → peer → train): a
@@ -48,8 +58,8 @@
 //! training cost for a key.
 
 use crate::http::{
-    account_request, endpoint_index, error_body, query_param, start_engine, PredictRequest,
-    PredictResponse, ServeConfig, JSON_CONTENT_TYPE, LAMB_CONTENT_TYPE, RECENT_TRACES_LIMIT,
+    account_request, endpoint_index, error_body, query_param, start_engine, ServeConfig,
+    JSON_CONTENT_TYPE, LAMB_CONTENT_TYPE, RECENT_TRACES_LIMIT,
 };
 use crate::proto::{
     encode_request, encode_request_traced, ParsedRequest, ParsedResponse, ResponseParser,
@@ -69,6 +79,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -299,14 +310,8 @@ pub fn start_gateway(cfg: GatewayConfig) -> Result<GatewayHandle, ServeError> {
     // Span records from this process must be attributable to the gateway
     // when a trace is assembled across the cluster.
     lam_obs::recorder::set_service("gateway");
-    let cluster = Arc::new(ClusterState::new(&cfg));
-    let ctx = Arc::new(GatewayCtx {
-        cluster: Arc::clone(&cluster),
-        retry_after_secs: cfg.serve.retry_after_secs,
-        upstream_timeout: cfg.upstream_timeout,
-        tune_timeout: cfg.tune_timeout,
-        max_upstream_body: cfg.serve.opts.max_body.max(1 << 20),
-    });
+    let ctx = Arc::new(GatewayCtx::new(&cfg));
+    let cluster = Arc::clone(&ctx.cluster);
     let server = start_engine(
         &cfg.serve,
         None,
@@ -356,6 +361,18 @@ struct GatewayCtx {
     upstream_timeout: Duration,
     tune_timeout: Duration,
     max_upstream_body: usize,
+}
+
+impl GatewayCtx {
+    fn new(cfg: &GatewayConfig) -> Self {
+        Self {
+            cluster: Arc::new(ClusterState::new(cfg)),
+            retry_after_secs: cfg.serve.retry_after_secs,
+            upstream_timeout: cfg.upstream_timeout,
+            tune_timeout: cfg.tune_timeout,
+            max_upstream_body: cfg.serve.opts.max_body.max(1 << 20),
+        }
+    }
 }
 
 /// A fully-formed gateway response (status, content type, body bytes,
@@ -630,78 +647,63 @@ fn all_replicas_down(ctx: &GatewayCtx) -> GatewayResponse {
 
 /// `/predict` through the gateway.
 ///
-/// The routing fields are extracted with a cheap byte scan — no full
-/// JSON parse on the passthrough path, which is what keeps single-shard
-/// gateway overhead inside the ≤ 25% budget on one core. When the
-/// serving set is one backend the raw body forwards verbatim; with
-/// replication the body is parsed once and its rows scatter as
-/// contiguous chunks across the replica set, gathered back in chunk
-/// order so the client sees row-order-preserving predictions.
+/// One structural byte scan ([`scan_body`]) finds the routing fields and
+/// the byte span of every row; the gateway never parses a float. With
+/// one serving backend or fewer than two rows the body forwards
+/// verbatim. With replication, [`scatter_predict`] splits the rows by
+/// byte range across the replica set and merges the answers by
+/// concatenation. A body the scan cannot read forwards whole as well, to
+/// the first healthy backend, which answers it with the canonical 4xx.
 fn gateway_predict(
     body: &[u8],
     ctx: &GatewayCtx,
-    mut trace: Option<&mut GatewayTrace>,
+    trace: Option<&mut GatewayTrace>,
 ) -> GatewayResponse {
-    let tctx = trace.as_ref().map(|t| t.ctx);
-    let Some((workload, kind)) = scan_routing_fields(body) else {
-        // The scan only fails on bodies that are not simple JSON
-        // objects with string `workload`/`kind` fields — let a backend
-        // produce the canonical 400 unless none is alive.
-        return match first_healthy(ctx) {
-            Some(order) => forward_with_failover(
-                ctx,
-                &order,
-                "POST",
-                "/predict",
-                body,
-                ctx.upstream_timeout,
-                tctx,
-            ),
-            None => all_replicas_down(ctx),
-        };
-    };
-    let candidates = ctx.cluster.healthy_candidates(&workload, &kind);
+    let scan = scan_body(body, ctx.cluster.replicas > 1);
+    let key = scan.as_ref().and_then(|s| Some((s.workload?, s.kind?)));
+    let candidates = route_candidates(ctx, key);
     if candidates.is_empty() {
         return all_replicas_down(ctx);
     }
-    let serving = &candidates[..candidates.len().min(ctx.cluster.replicas)];
-    if serving.len() == 1 {
-        ctx.cluster.fanout.record(1);
-        if let Some(t) = trace.as_deref_mut() {
-            t.annotate("shards", "1");
-        }
-        return forward_with_failover(
-            ctx,
-            &candidates,
-            "POST",
-            "/predict",
-            body,
-            ctx.upstream_timeout,
-            tctx,
-        );
+    // Rows are walked only when there is more than one backend to split
+    // them across.
+    let serving = ctx.cluster.replicas.min(candidates.len());
+    let array = scan
+        .and_then(|s| s.rows)
+        .filter(|_| key.is_some() && serving > 1);
+    let rows = array.clone().and_then(|a| array_elements(body, a));
+    let shards = rows.as_ref().map_or(1, |r| r.len().clamp(1, serving));
+    if key.is_some() {
+        ctx.cluster.fanout.record(shards as u64);
     }
-    scatter_predict(body, serving, &candidates, ctx, trace)
+    let tctx = trace.map(|t| {
+        if let Some(rows) = &rows {
+            t.annotate("rows", rows.len().to_string());
+        }
+        t.annotate("shards", shards.to_string());
+        t.ctx
+    });
+    match (array, rows) {
+        (Some(array), Some(rows)) if shards > 1 => {
+            let serving = &candidates[..shards];
+            scatter_predict(body, array, &rows, serving, &candidates, ctx, tctx)
+        }
+        _ => forward_with_failover(ctx, &candidates, "POST", "/predict", body, tctx),
+    }
 }
 
 /// `/tune` through the gateway: routed whole (budgets are not
 /// splittable), with the kind defaulting to `hybrid` exactly as the
 /// backend would default it.
 fn gateway_tune(body: &[u8], ctx: &GatewayCtx, trace: Option<TraceContext>) -> GatewayResponse {
-    let key = scan_routing_fields(body);
-    let candidates = match &key {
-        Some((workload, kind)) => ctx.cluster.healthy_candidates(workload, kind),
-        None => first_healthy(ctx).unwrap_or_default(),
-    };
-    if candidates.is_empty() {
-        return all_replicas_down(ctx);
-    }
+    let scan = scan_body(body, false);
+    let key = scan.and_then(|s| Some((s.workload?, s.kind.unwrap_or("hybrid"))));
     forward_with_failover(
         ctx,
-        &candidates,
+        &route_candidates(ctx, key),
         "POST",
         "/tune",
         body,
-        ctx.tune_timeout,
         trace,
     )
 }
@@ -711,91 +713,29 @@ fn gateway_tune(body: &[u8], ctx: &GatewayCtx, trace: Option<TraceContext>) -> G
 /// the shard most likely to have the artifact; the rest go to the first
 /// healthy backend (every backend can answer them).
 fn gateway_proxy_get(path: &str, ctx: &GatewayCtx) -> GatewayResponse {
-    let candidates = match crate::http::parse_artifact_path(path) {
-        Some((workload, kind, _)) => {
-            let (workload, kind) = (workload.to_string(), kind.to_string());
-            ctx.cluster.healthy_candidates(&workload, &kind)
-        }
-        None => first_healthy(ctx).unwrap_or_default(),
-    };
-    if candidates.is_empty() {
-        return all_replicas_down(ctx);
-    }
-    forward_with_failover(
-        ctx,
-        &candidates,
-        "GET",
-        path,
-        &[],
-        ctx.upstream_timeout,
-        None,
-    )
+    let key = crate::http::parse_artifact_path(path).map(|(workload, kind, _)| (workload, kind));
+    forward_with_failover(ctx, &route_candidates(ctx, key), "GET", path, &[], None)
 }
 
-/// All healthy backends in index order (for keyless requests), `None`
-/// when the whole cluster is dark.
-fn first_healthy(ctx: &GatewayCtx) -> Option<Vec<usize>> {
-    let order: Vec<usize> = (0..ctx.cluster.backends.len())
-        .filter(|&i| ctx.cluster.backends[i].is_healthy())
-        .collect();
-    if order.is_empty() {
-        None
-    } else {
-        Some(order)
+/// Where a request goes: the key's healthy candidates in ring
+/// preference order (failover walks this list), or every healthy backend
+/// in index order for a keyless request. Empty when nothing is live.
+fn route_candidates(ctx: &GatewayCtx, key: Option<(&str, &str)>) -> Vec<usize> {
+    match key {
+        Some((workload, kind)) => ctx.cluster.healthy_candidates(workload, kind),
+        None => (0..ctx.cluster.backends.len())
+            .filter(|&i| ctx.cluster.backends[i].is_healthy())
+            .collect(),
     }
-}
-
-/// Scan a JSON object's raw bytes for its string-valued `workload` and
-/// `kind` fields without parsing the whole body (the rows array
-/// dominates the bytes and the passthrough path never needs it).
-/// Returns `None` on anything irregular — escaped strings, missing
-/// fields — and the caller falls back to a full parse or passthrough.
-fn scan_routing_fields(body: &[u8]) -> Option<(String, String)> {
-    Some((
-        scan_string_field(body, b"\"workload\"")?,
-        scan_string_field(body, b"\"kind\"")?,
-    ))
-}
-
-fn scan_string_field(body: &[u8], quoted_name: &[u8]) -> Option<String> {
-    let at = body
-        .windows(quoted_name.len())
-        .position(|w| w == quoted_name)?;
-    let mut i = at + quoted_name.len();
-    while i < body.len() && (body[i] as char).is_ascii_whitespace() {
-        i += 1;
-    }
-    if body.get(i) != Some(&b':') {
-        return None;
-    }
-    i += 1;
-    while i < body.len() && (body[i] as char).is_ascii_whitespace() {
-        i += 1;
-    }
-    if body.get(i) != Some(&b'"') {
-        return None;
-    }
-    i += 1;
-    let start = i;
-    while i < body.len() {
-        match body[i] {
-            b'"' => {
-                return String::from_utf8(body[start..i].to_vec()).ok();
-            }
-            // Workload and kind names never contain escapes; punt to the
-            // full parser rather than implement JSON unescaping here.
-            b'\\' => return None,
-            _ => i += 1,
-        }
-    }
-    None
 }
 
 /// Send one request to the first candidate that answers, walking the
-/// preference list on connection-level failures. An HTTP response —
-/// any status — ends the walk: statuses are deterministic answers
-/// (400) or explicit backpressure (503 + retry-after) that failover
-/// must not amplify into duplicated work.
+/// preference list on connection-level failures; `503` when none does.
+/// An HTTP response — any status — ends the walk: statuses are
+/// deterministic answers (400) or explicit backpressure (503 +
+/// retry-after) that failover must not amplify into duplicated work.
+/// `/tune` attempts wait up to the tune deadline, the rest up to the
+/// upstream deadline.
 ///
 /// With a trace context, each attempt gets its own `gateway.shard`
 /// child span (sequence = attempt index) whose header rides to the
@@ -806,218 +746,309 @@ fn forward_with_failover(
     method: &str,
     path: &str,
     body: &[u8],
-    timeout: Duration,
     trace: Option<TraceContext>,
 ) -> GatewayResponse {
+    let timeout = match path {
+        "/tune" => ctx.tune_timeout,
+        _ => ctx.upstream_timeout,
+    };
     for (attempt, &idx) in candidates.iter().enumerate() {
+        let header = trace.map(|t| t.child(attempt as u64).header_value());
         let addr = &ctx.cluster.backends[idx].addr;
-        let leg = trace.map(|t| t.child(attempt as u64));
-        let header = leg.map(|l| l.header_value());
         let request = encode_request_traced(method, path, addr, body, header.as_deref());
-        let leg_started = Instant::now();
-        let outcome = request_one(ctx, idx, request, timeout);
-        if let (Some(root), Some(leg)) = (&trace, &leg) {
-            let status = match &outcome {
-                Ok(resp) => span_status(resp.status),
-                Err(_) => SpanStatus::Error,
-            };
-            lam_obs::recorder::global().record(
-                SpanRecord::finish(leg, root.span_id, "gateway.shard", leg_started, status)
-                    .annotate("backend", addr.clone()),
-            );
+        let leg = exchange_one(ctx, idx, request, timeout);
+        if let Some(root) = &trace {
+            lam_obs::recorder::global().record(leg_span(root, attempt, &leg, ctx));
         }
-        match outcome {
-            Ok(resp) => {
-                return (
-                    resp.status,
-                    static_content_type(&resp.content_type),
-                    resp.body,
-                    None,
-                )
-            }
-            Err(_) => continue,
+        if let Ok(resp) = leg.result {
+            let content_type = static_content_type(&resp.content_type);
+            return (resp.status, content_type, resp.body, None);
         }
     }
     all_replicas_down(ctx)
 }
 
-/// Scatter a parsed multi-row `/predict` across the serving set and
-/// gather the merged response. Chunks are contiguous row ranges, so the
-/// concatenation of per-chunk predictions in chunk order *is* the
-/// client's row order. A failed chunk fails over to the key's remaining
-/// healthy candidates before the request is given up on.
+/// The `gateway.shard` span of one upstream leg under `root`, timed from
+/// the leg's send to its response (or to the moment it gave up).
+fn leg_span(root: &TraceContext, seq: usize, leg: &Flight, ctx: &GatewayCtx) -> SpanRecord {
+    let status = match &leg.result {
+        Ok(resp) => span_status(resp.status),
+        Err(_) => SpanStatus::Error,
+    };
+    let (span, parent) = (root.child(seq as u64), root.span_id);
+    let record = SpanRecord::between(&span, parent, "gateway.shard", leg.sent, leg.done, status);
+    record.annotate("backend", ctx.cluster.backends[leg.backend].addr.clone())
+}
+
+/// Scatter a multi-row `/predict` across `serving` and merge the answers.
+///
+/// **Split by byte range.** Chunk `s` is a contiguous run of rows, sizes
+/// differing by at most one. Its sub-body is the client's body with the
+/// `rows` array replaced by `[` + the run's bytes + `]`, so `workload`,
+/// `kind`, `version` and any other field reach the backend verbatim.
+///
+/// **Merge by concatenation.** The chunks' `predictions` array texts
+/// join in chunk order, which *is* the client's row order, and their
+/// `cache_hits` add up. The merged body has exactly the field order and
+/// number format a backend writes; backends write shortest-round-trip
+/// floats, so the bytes equal those of a parse and re-encode.
+///
+/// A failed chunk fails over with the same sub-body to the key's
+/// remaining healthy candidates before the request is given up on.
 fn scatter_predict(
     body: &[u8],
+    array: Range<usize>,
+    rows: &[Range<usize>],
     serving: &[usize],
     candidates: &[usize],
     ctx: &GatewayCtx,
-    trace: Option<&mut GatewayTrace>,
+    trace: Option<TraceContext>,
 ) -> GatewayResponse {
     let start = Instant::now();
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return bad(400, "body is not utf-8"),
-    };
-    let parsed: PredictRequest = match serde_json::from_str(text) {
-        Ok(p) => p,
-        Err(e) => return bad(400, &e.to_string()),
-    };
-    let total_rows = parsed.rows.len();
-    let shards = serving.len().min(total_rows).max(1);
-    ctx.cluster.fanout.record(shards as u64);
-    let tctx = match trace {
-        Some(t) => {
-            t.annotate("rows", total_rows.to_string());
-            t.annotate("shards", shards.to_string());
-            Some(t.ctx)
-        }
-        None => None,
-    };
-    if shards == 1 {
-        return forward_with_failover(
-            ctx,
-            candidates,
-            "POST",
-            "/predict",
-            body,
-            ctx.upstream_timeout,
-            tctx,
-        );
-    }
-    // Contiguous chunks, sizes differing by at most one row. `offsets`
-    // remembers each chunk's starting row for the shard spans below.
-    let base = total_rows / shards;
-    let extra = total_rows % shards;
-    let mut chunks: Vec<Vec<Vec<f64>>> = Vec::with_capacity(shards);
-    let mut offsets: Vec<usize> = Vec::with_capacity(shards);
-    let mut offset = 0usize;
-    let mut rows = parsed.rows.into_iter();
+    let shards = serving.len();
+    let (base, extra) = (rows.len() / shards, rows.len() % shards);
+    // (first row, row count, sub-body) per chunk.
+    let mut chunks: Vec<(usize, usize, Vec<u8>)> = Vec::with_capacity(shards);
+    let mut first = 0;
     for s in 0..shards {
         let take = base + usize::from(s < extra);
-        offsets.push(offset);
-        offset += take;
-        chunks.push(rows.by_ref().take(take).collect());
+        let run = rows[first].start..rows[first + take - 1].end;
+        let mut sub = Vec::with_capacity(body.len() + 2);
+        sub.extend_from_slice(&body[..array.start]);
+        sub.push(b'[');
+        sub.extend_from_slice(&body[run]);
+        sub.push(b']');
+        sub.extend_from_slice(&body[array.end..]);
+        chunks.push((first, take, sub));
+        first += take;
     }
-    let subrequests: Vec<(usize, Vec<u8>)> = chunks
-        .iter()
-        .enumerate()
-        .map(|(s, chunk)| {
-            let sub = PredictRequest {
-                workload: parsed.workload.clone(),
-                kind: parsed.kind.clone(),
-                version: parsed.version,
-                rows: chunk.clone(),
-            };
-            let body = serde_json::to_string(&sub).expect("predict request serializes");
-            let addr = &ctx.cluster.backends[serving[s]].addr;
-            let leg = tctx.map(|t| t.child(s as u64));
-            let header = leg.map(|l| l.header_value());
-            (
-                serving[s],
-                encode_request_traced("POST", "/predict", addr, body.as_bytes(), header.as_deref()),
-            )
-        })
-        .collect();
-    let mut results = exchange_parallel(ctx, subrequests, ctx.upstream_timeout);
-    // Failover pass: re-send each failed chunk to the key's other
-    // healthy candidates, sequentially (this is the rare path). The
-    // retried leg keeps its chunk's span id so the trace stays whole.
-    let mut final_backends: Vec<usize> = serving.to_vec();
-    for (s, result) in results.iter_mut().enumerate() {
-        if result.is_ok() {
-            continue;
-        }
-        let failed_backend = serving[s];
-        let sub = PredictRequest {
-            workload: parsed.workload.clone(),
-            kind: parsed.kind.clone(),
-            version: parsed.version,
-            rows: chunks[s].clone(),
-        };
-        let body = serde_json::to_string(&sub).expect("predict request serializes");
-        let leg = tctx.map(|t| t.child(s as u64));
-        let header = leg.map(|l| l.header_value());
-        for &idx in candidates.iter().filter(|&&i| i != failed_backend) {
-            if !ctx.cluster.backends[idx].is_healthy() {
-                continue;
-            }
-            let addr = &ctx.cluster.backends[idx].addr;
-            let request =
-                encode_request_traced("POST", "/predict", addr, body.as_bytes(), header.as_deref());
-            if let Ok(resp) = request_one(ctx, idx, request, ctx.upstream_timeout) {
-                *result = Ok(resp);
-                final_backends[s] = idx;
+    let request = |s: usize, idx: usize| {
+        let header = trace.map(|t| t.child(s as u64).header_value());
+        let addr = &ctx.cluster.backends[idx].addr;
+        encode_request_traced("POST", "/predict", addr, &chunks[s].2, header.as_deref())
+    };
+    let subrequests = (0..shards).map(|s| (serving[s], request(s, serving[s])));
+    let mut legs = exchange_parallel(ctx, subrequests.collect(), ctx.upstream_timeout);
+    // Failover pass, sequential (this is the rare path). The retried leg
+    // keeps its chunk's span id and send instant so the trace stays whole.
+    for (s, leg) in legs.iter_mut().enumerate() {
+        for &idx in candidates {
+            if leg.result.is_ok() {
                 break;
             }
+            if idx != serving[s] && ctx.cluster.backends[idx].is_healthy() {
+                let sent = leg.sent;
+                *leg = exchange_one(ctx, idx, request(s, idx), ctx.upstream_timeout);
+                leg.sent = sent;
+            }
         }
     }
-    // One `gateway.shard` span per chunk, recorded before the merge so
-    // failed chunks still show up (status error) in the trace.
-    if let Some(root) = tctx {
-        for (s, result) in results.iter().enumerate() {
-            let status = match result {
-                Ok(resp) => span_status(resp.status),
-                Err(_) => SpanStatus::Error,
-            };
-            lam_obs::recorder::global().record(
-                SpanRecord::finish(
-                    &root.child(s as u64),
-                    root.span_id,
-                    "gateway.shard",
-                    start,
-                    status,
-                )
-                .annotate(
-                    "backend",
-                    ctx.cluster.backends[final_backends[s]].addr.clone(),
-                )
-                .annotate("offset", offsets[s].to_string())
-                .annotate("rows", chunks[s].len().to_string()),
-            );
+    // Spans are recorded before the merge so failed chunks still show up
+    // (status error) in the trace.
+    if let Some(root) = &trace {
+        for (s, (leg, (first, take, _))) in legs.iter().zip(&chunks).enumerate() {
+            let span = leg_span(root, s, leg, ctx).annotate("offset", first.to_string());
+            lam_obs::recorder::global().record(span.annotate("rows", take.to_string()));
         }
     }
-    // Merge. Any chunk still failed → 503; any upstream non-200 →
-    // forward it (every chunk shares the request's validity, so the
-    // first error is the request's error).
-    let mut predictions = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut model = String::new();
-    for result in &results {
-        let resp = match result {
-            Ok(resp) => resp,
+    // Any chunk still failed → 503; any upstream non-200 → forward it
+    // (every chunk shares the request's validity, so the first error is
+    // the request's error).
+    let mut answers = Vec::with_capacity(shards);
+    for leg in legs {
+        match leg.result {
             Err(_) => return all_replicas_down(ctx),
-        };
-        if resp.status != 200 {
-            return (
-                resp.status,
-                static_content_type(&resp.content_type),
-                resp.body.clone(),
-                None,
-            );
+            Ok(resp) if resp.status != 200 => {
+                let content_type = static_content_type(&resp.content_type);
+                return (resp.status, content_type, resp.body, None);
+            }
+            Ok(resp) => answers.push(resp.body),
         }
-        let text = match std::str::from_utf8(&resp.body) {
-            Ok(t) => t,
-            Err(_) => return bad(502, "backend returned non-utf-8 predict body"),
-        };
-        let part: PredictResponse = match serde_json::from_str(text) {
-            Ok(p) => p,
-            Err(e) => return bad(502, &format!("backend predict body unparseable: {e}")),
-        };
-        if model.is_empty() {
-            model = part.model;
-        }
-        predictions.extend(part.predictions);
-        cache_hits += part.cache_hits;
     }
-    let merged = PredictResponse {
-        model,
-        predictions,
-        cache_hits,
-        micros: start.elapsed().as_micros() as u64,
+    let mut merged = b"{\"model\":".to_vec();
+    let mut cache_hits = 0u64;
+    for (s, answer) in answers.iter().enumerate() {
+        let Some((model, predictions, hits)) = scan_answer(answer) else {
+            return bad(502, "backend predict body unparseable");
+        };
+        if s == 0 {
+            merged.extend_from_slice(model);
+            merged.extend_from_slice(b",\"predictions\":[");
+        }
+        if !predictions.is_empty() && merged.last() != Some(&b'[') {
+            merged.push(b',');
+        }
+        merged.extend_from_slice(predictions);
+        cache_hits += hits;
+    }
+    let micros = start.elapsed().as_micros();
+    let _ = write!(
+        merged,
+        "],\"cache_hits\":{cache_hits},\"micros\":{micros}}}"
+    );
+    (200, JSON_CONTENT_TYPE, merged, None)
+}
+
+// ---------------------------------------------------------------------
+// Structural byte scan of JSON bodies (routing, split, merge)
+// ---------------------------------------------------------------------
+
+/// What one byte scan of a `/predict` or `/tune` body found: the
+/// routing fields (when they are plain strings) and the span of the
+/// `rows` value. The first occurrence of a key counts, as in the
+/// backend's parser; a later duplicate reaches the backend verbatim in
+/// every sub-body.
+struct BodyScan<'a> {
+    workload: Option<&'a str>,
+    kind: Option<&'a str>,
+    rows: Option<Range<usize>>,
+}
+
+/// Scan a request body without parsing it, stopping once `workload`,
+/// `kind` and (if `want_rows`) `rows` are found. `None` when the bytes
+/// up to there are not a JSON object, or a key before there holds an
+/// escape (the backend would unescape it to a name the scan cannot
+/// compare).
+fn scan_body(body: &[u8], want_rows: bool) -> Option<BodyScan<'_>> {
+    let (mut workload, mut kind, mut rows) = (None, None, None);
+    scan_members(body, |key, value| {
+        let slot = match key {
+            b"workload" => &mut workload,
+            b"kind" => &mut kind,
+            b"rows" => &mut rows,
+            _ => return true,
+        };
+        slot.get_or_insert(value);
+        workload.is_none() || kind.is_none() || (want_rows && rows.is_none())
+    })?;
+    // Names never contain escapes; unescaping is left to the backend.
+    let plain_str = |span: Range<usize>| {
+        let text = body[span].strip_prefix(b"\"")?.strip_suffix(b"\"")?;
+        std::str::from_utf8(text).ok().filter(|t| !t.contains('\\'))
     };
-    match serde_json::to_string(&merged) {
-        Ok(body) => (200, JSON_CONTENT_TYPE, body.into_bytes(), None),
-        Err(e) => bad(500, &e.to_string()),
+    Some(BodyScan {
+        workload: workload.and_then(plain_str),
+        kind: kind.and_then(plain_str),
+        rows,
+    })
+}
+
+/// The pieces of a backend's `/predict` answer the merge needs: the
+/// `model` string token, the text inside the `predictions` array, and
+/// `cache_hits`.
+fn scan_answer(body: &[u8]) -> Option<(&[u8], &[u8], u64)> {
+    let (mut model, mut predictions, mut cache_hits) = (None, None, None);
+    scan_members(body, |key, value| {
+        let slot = match key {
+            b"model" => &mut model,
+            b"predictions" => &mut predictions,
+            b"cache_hits" => &mut cache_hits,
+            _ => return true,
+        };
+        slot.get_or_insert(&body[value]);
+        model.is_none() || predictions.is_none() || cache_hits.is_none()
+    })?;
+    let model = model.filter(|m| m.starts_with(b"\""))?;
+    let predictions = predictions?.strip_prefix(b"[")?.strip_suffix(b"]")?;
+    let cache_hits = std::str::from_utf8(cache_hits?).ok()?.parse().ok()?;
+    Some((model, predictions.trim_ascii(), cache_hits))
+}
+
+/// Index of the first non-whitespace byte at or after `i`.
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while matches!(b.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        i += 1;
+    }
+    i
+}
+
+/// End (exclusive) of the JSON string whose opening quote is at `i`.
+fn skip_string(b: &[u8], mut i: usize) -> Option<usize> {
+    i += 1;
+    loop {
+        match b.get(i)? {
+            b'"' => return Some(i + 1),
+            b'\\' => i += 2,
+            _ => i += 1,
+        }
+    }
+}
+
+/// End (exclusive) of the JSON value starting at `i`. Strings honour
+/// escapes and brackets nest; everything else is taken as it comes. The
+/// scan only finds boundaries: each byte of a value lands verbatim in
+/// some sub-body, and the backend's parser judges it there.
+fn skip_value(b: &[u8], mut i: usize) -> Option<usize> {
+    let scalar = |c: &u8| c.is_ascii_alphanumeric() || matches!(c, b'+' | b'-' | b'.');
+    if b.get(i).is_some_and(scalar) {
+        while b.get(i).is_some_and(scalar) {
+            i += 1;
+        }
+        return Some(i);
+    }
+    let mut depth = 0usize;
+    loop {
+        match b.get(i)? {
+            b'"' => i = skip_string(b, i)?,
+            b'[' | b'{' => (depth, i) = (depth + 1, i + 1),
+            b']' | b'}' => (depth, i) = (depth.checked_sub(1)?, i + 1),
+            _ if depth > 0 => i += 1,
+            _ => return None,
+        }
+        if depth == 0 {
+            return Some(i);
+        }
+    }
+}
+
+/// Walk the members of the one non-empty JSON object `b` holds
+/// (surrounding whitespace allowed), calling `visit(key, value span)`
+/// for each in order until it returns `false`. `None` when the bytes
+/// walked are not such an object or a key holds an escape.
+fn scan_members(b: &[u8], mut visit: impl FnMut(&[u8], Range<usize>) -> bool) -> Option<()> {
+    let mut i = skip_ws(b, 0);
+    (b.get(i) == Some(&b'{')).then_some(())?;
+    loop {
+        i = skip_ws(b, i + 1);
+        (b.get(i) == Some(&b'"')).then_some(())?;
+        let key_end = skip_string(b, i)?;
+        let key = &b[i + 1..key_end - 1];
+        i = skip_ws(b, key_end);
+        (b.get(i) == Some(&b':') && !key.contains(&b'\\')).then_some(())?;
+        let start = skip_ws(b, i + 1);
+        let end = skip_value(b, start)?;
+        if !visit(key, start..end) {
+            return Some(());
+        }
+        i = skip_ws(b, end);
+        match b.get(i)? {
+            b',' => {}
+            b'}' => return (skip_ws(b, i + 1) == b.len()).then_some(()),
+            _ => return None,
+        }
+    }
+}
+
+/// Byte spans of the elements of the JSON array at `array` (brackets
+/// included), with the separators between them checked. `None` when the
+/// value is not an array or is malformed at its top level.
+fn array_elements(b: &[u8], array: Range<usize>) -> Option<Vec<Range<usize>>> {
+    let close = array.end - 1;
+    (b[array.start] == b'[' && b[close] == b']').then_some(())?;
+    let mut elements = Vec::new();
+    let mut i = skip_ws(b, array.start + 1);
+    if i == close {
+        return Some(elements);
+    }
+    loop {
+        let end = skip_value(b, i)?;
+        elements.push(i..end);
+        i = skip_ws(b, end);
+        match b.get(i)? {
+            b',' if i < close => i = skip_ws(b, i + 1),
+            b']' if i == close => return Some(elements),
+            _ => return None,
+        }
     }
 }
 
@@ -1028,8 +1059,13 @@ fn scatter_predict(
 thread_local! {
     /// Keep-alive upstream connections, pooled per backend address and
     /// per handler thread (no cross-thread locking on the hot path).
+    /// Pooled sockets are non-blocking, as flights drive them.
     static UPSTREAM_POOL: RefCell<HashMap<String, VecDeque<TcpStream>>> =
         RefCell::new(HashMap::new());
+    /// The handler thread's epoll instance for upstream flights, created
+    /// once. Every exchange deregisters every fd it added before
+    /// returning, so the set is empty between requests.
+    static UPSTREAM_EPOLL: std::io::Result<Epoll> = Epoll::new();
 }
 
 /// Pooled keep-alive connections retained per backend per thread.
@@ -1061,270 +1097,200 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// One upstream request/response over a blocking socket (the
-/// single-subrequest hot path — the passthrough predict, proxied GETs,
-/// probes). Implements the retry contract: a failure on a reused pooled
-/// connection retries once on a fresh one without recording a failure;
-/// a fresh-connection failure records one.
-fn request_one(
-    ctx: &GatewayCtx,
-    idx: usize,
-    request: Vec<u8>,
-    timeout: Duration,
-) -> Result<ParsedResponse, String> {
-    let backend = &ctx.cluster.backends[idx];
-    let addr = &backend.addr;
-    let pooled = pool_take(addr);
-    let reused = pooled.is_some();
-    let attempt = |stream: TcpStream| -> Result<ParsedResponse, String> {
-        blocking_exchange(stream, &request, timeout, ctx.max_upstream_body).map(|(resp, stream)| {
-            if resp.keep_alive {
-                pool_put(addr, stream);
-            }
-            resp
-        })
-    };
-    let first = match pooled {
-        Some(stream) => attempt(stream),
-        None => match connect(addr) {
-            Ok(stream) => attempt(stream),
-            Err(e) => {
-                backend.record_failure(ctx.cluster.fail_threshold);
-                return Err(format!("connect {addr}: {e}"));
-            }
-        },
-    };
-    match first {
-        Ok(resp) => {
-            backend.record_response(resp.status);
-            Ok(resp)
-        }
-        Err(first_err) if reused => {
-            // The pooled socket may simply have been closed by the
-            // backend between requests; that is not failure evidence.
-            let stream = connect(addr).map_err(|e| {
-                backend.record_failure(ctx.cluster.fail_threshold);
-                format!("connect {addr}: {e}")
-            })?;
-            match attempt(stream) {
-                Ok(resp) => {
-                    backend.record_response(resp.status);
-                    Ok(resp)
-                }
-                Err(e) => {
-                    backend.record_failure(ctx.cluster.fail_threshold);
-                    Err(format!("{first_err}; fresh retry: {e}"))
-                }
-            }
-        }
-        Err(e) => {
-            backend.record_failure(ctx.cluster.fail_threshold);
-            Err(e)
-        }
-    }
+fn connect_nonblocking(addr: &str) -> std::io::Result<TcpStream> {
+    connect(addr).and_then(|stream| stream.set_nonblocking(true).map(|()| stream))
 }
 
-/// Write `request`, read one response, on a blocking socket with
-/// read/write timeouts carved from `timeout`. Returns the stream too so
-/// keep-alive sockets can be pooled.
-fn blocking_exchange(
-    stream: TcpStream,
-    request: &[u8],
-    timeout: Duration,
-    max_body: usize,
-) -> Result<(ParsedResponse, TcpStream), String> {
-    let mut stream = stream;
-    stream.set_nonblocking(false).map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream.write_all(request).map_err(|e| e.to_string())?;
-    let mut parser = ResponseParser::new(max_body);
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 16 << 10];
-    let deadline = Instant::now() + timeout;
-    loop {
-        match parser.poll(&mut buf) {
-            ResponseStep::Response(resp) => return Ok((resp, stream)),
-            ResponseStep::Invalid(msg) => return Err(msg),
-            ResponseStep::Incomplete => {}
-        }
-        if Instant::now() >= deadline {
-            return Err("upstream response timed out".to_string());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err("upstream closed before a full response".to_string()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err("upstream response timed out".to_string())
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
+/// One upstream request/response: a one-flight [`exchange_parallel`],
+/// so single requests (passthrough `/predict`, `/tune`, proxied GETs)
+/// share the scatter's retry contract.
+fn exchange_one(ctx: &GatewayCtx, idx: usize, request: Vec<u8>, timeout: Duration) -> Flight {
+    let mut legs = exchange_parallel(ctx, vec![(idx, request)], timeout);
+    legs.pop().expect("one leg per subrequest")
 }
 
-/// One in-flight upstream subrequest of a scatter. `stream` is `None`
-/// once the flight is resolved (or never connected).
+/// One upstream request: while `stream` is `Some` it is in flight, with
+/// the socket registered for `interest` on the thread's epoll instance
+/// (0 = not registered); `reused` while it rides a pooled connection
+/// that has not failed yet. Once resolved, `result` holds the outcome,
+/// `backend` the backend it ended on, and `sent`/`done` the send and
+/// response-complete (or give-up) instants.
 struct Flight {
     backend: usize,
-    addr: String,
     stream: Option<TcpStream>,
+    interest: u32,
     reused: bool,
-    retried: bool,
     request: Vec<u8>,
     written: usize,
     inbuf: Vec<u8>,
     parser: ResponseParser,
-    result: Option<Result<ParsedResponse, String>>,
+    sent: Instant,
+    done: Instant,
+    result: Result<ParsedResponse, String>,
 }
 
-/// Fan a scatter's subrequests out concurrently over non-blocking
-/// keep-alive connections multiplexed on one epoll instance, applying
-/// the same per-flight retry contract as [`request_one`]. Results come
-/// back indexed like `subrequests`.
+/// Send each `(backend, request)` concurrently over non-blocking
+/// keep-alive connections multiplexed on the thread's epoll instance,
+/// under one retry contract: a failure on a *reused* pooled connection
+/// retries once on a fresh one without recording a failure (a stale
+/// keep-alive socket is not failure evidence); a fresh-connection
+/// failure records one. Resolved flights come back indexed like
+/// `subrequests`.
 fn exchange_parallel(
     ctx: &GatewayCtx,
     subrequests: Vec<(usize, Vec<u8>)>,
     timeout: Duration,
-) -> Vec<Result<ParsedResponse, String>> {
-    let n = subrequests.len();
-    let epoll = match Epoll::new() {
-        Ok(e) => e,
-        Err(e) => return (0..n).map(|_| Err(format!("epoll: {e}"))).collect(),
-    };
-    let mut flights: Vec<Flight> = Vec::with_capacity(n);
-    for (i, (backend, request)) in subrequests.into_iter().enumerate() {
-        let addr = ctx.cluster.backends[backend].addr.clone();
-        let mut flight = Flight {
+) -> Vec<Flight> {
+    let now = Instant::now();
+    let mut flights: Vec<Flight> = subrequests
+        .into_iter()
+        .map(|(backend, request)| Flight {
             backend,
-            addr,
             stream: None,
+            interest: 0,
             reused: false,
-            retried: false,
             request,
             written: 0,
             inbuf: Vec::new(),
             parser: ResponseParser::new(ctx.max_upstream_body),
-            result: None,
-        };
-        let stream = match pool_take(&flight.addr) {
-            Some(s) => {
-                flight.reused = true;
-                Some(s)
-            }
-            None => match connect(&flight.addr) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    ctx.cluster.backends[backend].record_failure(ctx.cluster.fail_threshold);
-                    flight.result = Some(Err(format!("connect {}: {e}", flight.addr)));
-                    None
-                }
-            },
-        };
-        if let Some(stream) = stream {
-            if stream.set_nonblocking(true).is_err() {
-                flight.result = Some(Err("set_nonblocking failed".to_string()));
-            } else if epoll
-                .add(
-                    stream.as_raw_fd(),
-                    EPOLLIN | EPOLLOUT | EPOLLRDHUP,
-                    i as u64,
-                )
-                .is_err()
-            {
-                flight.result = Some(Err("epoll add failed".to_string()));
-            } else {
-                flight.stream = Some(stream);
-            }
+            sent: now,
+            done: now,
+            result: Err(String::new()),
+        })
+        .collect();
+    UPSTREAM_EPOLL.with(|epoll| match epoll {
+        Ok(epoll) => run_flights(&mut flights, epoll, ctx, now + timeout),
+        Err(e) => flights
+            .iter_mut()
+            .for_each(|f| f.result = Err(format!("epoll: {e}"))),
+    });
+    flights
+}
+
+/// Launch every flight and drive them to resolution or `deadline`.
+/// Flights still open at the deadline are deregistered and fail.
+fn run_flights(flights: &mut [Flight], epoll: &Epoll, ctx: &GatewayCtx, deadline: Instant) {
+    for (token, flight) in flights.iter_mut().enumerate() {
+        let addr = &ctx.cluster.backends[flight.backend].addr;
+        let pooled = pool_take(addr);
+        flight.reused = pooled.is_some();
+        match pooled.map_or_else(|| connect_nonblocking(addr), Ok) {
+            Ok(stream) => launch(flight, stream, token as u64, epoll, ctx),
+            Err(e) => fail(flight, format!("connect {addr}: {e}"), ctx),
         }
-        flights.push(flight);
     }
-    let deadline = Instant::now() + timeout;
     let mut events = [EpollEvent::zeroed(); 16];
-    while flights.iter().any(|f| f.result.is_none()) {
-        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-            break;
-        };
+    while flights.iter().any(|f| f.stream.is_some()) {
+        let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             break;
         }
-        let n_ev = epoll.wait(&mut events, Some(left.min(Duration::from_millis(100))));
-        for ev in events.iter().take(n_ev) {
-            let i = ev.token() as usize;
-            if i >= flights.len() || flights[i].result.is_some() {
-                continue;
+        let n_ev = epoll.wait(&mut events, Some(left));
+        for ev in &events[..n_ev] {
+            let token = ev.token();
+            if let Some(flight) = flights.get_mut(token as usize) {
+                if flight.stream.is_some() {
+                    drive_flight(flight, token, ev.events(), epoll, ctx);
+                }
             }
-            drive_flight(&mut flights[i], i as u64, ev.events(), &epoll, ctx);
         }
     }
-    for flight in &mut flights {
-        if flight.result.is_none() {
-            if let Some(stream) = flight.stream.take() {
-                let _ = epoll.delete(stream.as_raw_fd());
-            }
-            ctx.cluster.backends[flight.backend].record_failure(ctx.cluster.fail_threshold);
-            flight.result = Some(Err("upstream response timed out".to_string()));
-        }
+    for flight in flights.iter_mut().filter(|f| f.stream.is_some()) {
+        release(flight, epoll);
+        fail(flight, "upstream response timed out".to_string(), ctx);
     }
-    flights
-        .into_iter()
-        .map(|f| f.result.expect("every flight resolved"))
-        .collect()
 }
 
-/// Advance one flight on readiness and settle the outcome: pool the
-/// connection back on a keep-alive response, reconnect fresh once when
-/// a *reused* pooled connection fails (a stale keep-alive socket is not
-/// failure evidence), record + resolve otherwise. `token` is the
-/// flight's index, re-used when the reconnect re-registers the new fd.
+/// Start (or restart) `flight` on `stream`. The request is written
+/// eagerly: it usually fits the socket buffer at once, and then the
+/// socket registers for reads only.
+fn launch(flight: &mut Flight, stream: TcpStream, token: u64, epoll: &Epoll, ctx: &GatewayCtx) {
+    flight.stream = Some(stream);
+    flight.written = 0;
+    flight.inbuf.clear();
+    flight.parser = ResponseParser::new(ctx.max_upstream_body);
+    drive_flight(flight, token, 0, epoll, ctx);
+}
+
+/// Resolve `flight` as failed, counting the failure against its backend.
+fn fail(flight: &mut Flight, msg: String, ctx: &GatewayCtx) {
+    ctx.cluster.backends[flight.backend].record_failure(ctx.cluster.fail_threshold);
+    flight.done = Instant::now();
+    flight.result = Err(msg);
+}
+
+/// Deregister the flight's socket and take it.
+fn release(flight: &mut Flight, epoll: &Epoll) -> Option<TcpStream> {
+    let stream = flight.stream.take()?;
+    if flight.interest != 0 {
+        let _ = epoll.delete(stream.as_raw_fd());
+        flight.interest = 0;
+    }
+    Some(stream)
+}
+
+/// Keep the socket's registration in step with the flight: write
+/// interest only while request bytes remain unwritten, read interest
+/// always. (A level-triggered `EPOLLOUT` on a flushed socket fires on
+/// every wait, which would spin the thread until the backend answers.)
+fn sync_interest(flight: &mut Flight, token: u64, epoll: &Epoll) -> Result<(), String> {
+    let unwritten = flight.written < flight.request.len();
+    let want = EPOLLIN | EPOLLRDHUP | if unwritten { EPOLLOUT } else { 0 };
+    let Some(stream) = flight.stream.as_ref().filter(|_| want != flight.interest) else {
+        return Ok(());
+    };
+    let fd = stream.as_raw_fd();
+    let registered = match flight.interest {
+        0 => epoll.add(fd, want, token),
+        _ => epoll.modify(fd, want, token),
+    };
+    registered.map_err(|e| format!("epoll: {e}"))?;
+    flight.interest = want;
+    Ok(())
+}
+
+/// Advance one flight on readiness `bits` and settle the outcome: pool
+/// the connection back on a keep-alive response, reconnect fresh once
+/// when a *reused* pooled connection fails, record + resolve otherwise.
+/// `token` is the flight's index, re-used when a reconnect registers the
+/// new fd.
 fn drive_flight(flight: &mut Flight, token: u64, bits: u32, epoll: &Epoll, ctx: &GatewayCtx) {
+    let backend = &ctx.cluster.backends[flight.backend];
     match drive_flight_io(flight, bits) {
-        Ok(None) => {} // still in flight
+        Ok(None) => {
+            // Still in flight.
+            if let Err(msg) = sync_interest(flight, token, epoll) {
+                retry_or_fail(flight, msg, token, epoll, ctx);
+            }
+        }
         Ok(Some(resp)) => {
-            if let Some(stream) = flight.stream.take() {
-                let _ = epoll.delete(stream.as_raw_fd());
-                if resp.keep_alive && stream.set_nonblocking(false).is_ok() {
-                    pool_put(&flight.addr, stream);
-                }
+            if let Some(stream) = release(flight, epoll).filter(|_| resp.keep_alive) {
+                pool_put(&backend.addr, stream);
             }
-            ctx.cluster.backends[flight.backend].record_response(resp.status);
-            flight.result = Some(Ok(resp));
+            backend.record_response(resp.status);
+            flight.done = Instant::now();
+            flight.result = Ok(resp);
         }
-        Err(msg) => {
-            if let Some(stream) = flight.stream.take() {
-                let _ = epoll.delete(stream.as_raw_fd());
-            }
-            if flight.reused && !flight.retried {
-                if let Ok(stream) = connect(&flight.addr) {
-                    if stream.set_nonblocking(true).is_ok()
-                        && epoll
-                            .add(stream.as_raw_fd(), EPOLLIN | EPOLLOUT | EPOLLRDHUP, token)
-                            .is_ok()
-                    {
-                        flight.stream = Some(stream);
-                        flight.reused = false;
-                        flight.retried = true;
-                        flight.written = 0;
-                        flight.inbuf.clear();
-                        flight.parser = ResponseParser::new(ctx.max_upstream_body);
-                        return;
-                    }
-                }
-            }
-            ctx.cluster.backends[flight.backend].record_failure(ctx.cluster.fail_threshold);
-            flight.result = Some(Err(msg));
-        }
+        Err(msg) => retry_or_fail(flight, msg, token, epoll, ctx),
     }
 }
 
-/// The pure I/O step of one flight: flush unwritten request bytes,
-/// drain readable bytes, poll the parser. `Ok(Some)` on a complete
-/// response, `Ok(None)` while still in flight, `Err` on any
-/// connection-level failure.
+/// A connection-level failure: a *reused* pooled connection reconnects
+/// fresh once without recording anything; otherwise the flight fails.
+fn retry_or_fail(flight: &mut Flight, msg: String, token: u64, epoll: &Epoll, ctx: &GatewayCtx) {
+    release(flight, epoll);
+    if std::mem::take(&mut flight.reused) {
+        if let Ok(stream) = connect_nonblocking(&ctx.cluster.backends[flight.backend].addr) {
+            return launch(flight, stream, token, epoll, ctx);
+        }
+    }
+    fail(flight, msg, ctx);
+}
+
+/// The pure I/O step of one flight: flush unwritten request bytes, then
+/// on read readiness drain readable bytes and poll the parser. `Ok(Some)`
+/// on a complete response, `Ok(None)` while still in flight, `Err` on
+/// any connection-level failure.
 fn drive_flight_io(flight: &mut Flight, bits: u32) -> Result<Option<ParsedResponse>, String> {
     if bits & (EPOLLERR | EPOLLHUP) != 0 {
         return Err("upstream connection error".to_string());
@@ -1339,10 +1305,9 @@ fn drive_flight_io(flight: &mut Flight, bits: u32) -> Result<Option<ParsedRespon
     } = flight;
     // `&TcpStream` implements Read + Write, so disjoint field borrows
     // let the parser state advance while the socket is being driven.
-    let Some(stream) = stream.as_ref() else {
+    let Some(mut stream) = stream.as_ref() else {
         return Ok(None);
     };
-    let mut stream = stream;
     while *written < request.len() {
         match stream.write(&request[*written..]) {
             Ok(0) => return Err("upstream write returned 0".to_string()),
@@ -1351,6 +1316,9 @@ fn drive_flight_io(flight: &mut Flight, bits: u32) -> Result<Option<ParsedRespon
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(format!("upstream write: {e}")),
         }
+    }
+    if bits & (EPOLLIN | EPOLLRDHUP) == 0 {
+        return Ok(None);
     }
     let mut chunk = [0u8; 16 << 10];
     loop {
@@ -1375,17 +1343,40 @@ fn drive_flight_io(flight: &mut Flight, bits: u32) -> Result<Option<ParsedRespon
 // Blocking one-shot client (probes, peer artifact fetch)
 // ---------------------------------------------------------------------
 
-/// One-shot blocking GET: connect, request, read one response. No
-/// pooling — this is the probe/replication path, not the hot path.
+/// One-shot blocking GET: connect, write the request, read one response
+/// under read/write timeouts and an overall deadline. No pooling — this
+/// is the probe/replication path, not the hot path.
 pub(crate) fn blocking_get(
     addr: &str,
     path: &str,
     timeout: Duration,
     max_body: usize,
 ) -> Result<ParsedResponse, String> {
-    let stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let request = encode_request("GET", path, addr, &[]);
-    blocking_exchange(stream, &request, timeout, max_body).map(|(resp, _)| resp)
+    let mut stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_write_timeout(Some(timeout))
+        .and_then(|()| stream.set_read_timeout(Some(timeout)))
+        .and_then(|()| stream.write_all(&encode_request("GET", path, addr, &[])))
+        .map_err(|e| e.to_string())?;
+    let mut parser = ResponseParser::new(max_body);
+    let (mut buf, mut chunk) = (Vec::new(), [0u8; 16 << 10]);
+    let deadline = Instant::now() + timeout;
+    loop {
+        match parser.poll(&mut buf) {
+            ResponseStep::Response(resp) => return Ok(resp),
+            ResponseStep::Invalid(msg) => return Err(msg),
+            ResponseStep::Incomplete if Instant::now() >= deadline => {
+                return Err("upstream response timed out".to_string())
+            }
+            ResponseStep::Incomplete => {}
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err("upstream closed before a full response".to_string()),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("upstream read: {e}")),
+        }
+    }
 }
 
 /// Deadline and size cap for peer artifact fetches. Artifacts are a few
@@ -1416,29 +1407,124 @@ pub(crate) fn fetch_artifact(addr: &str, key: ModelKey) -> Result<Vec<u8>, Serve
 mod tests {
     use super::*;
 
+    /// The routing key a `/predict` body scans to.
+    fn routing_key(body: &[u8]) -> Option<(&str, &str)> {
+        scan_body(body, false).and_then(|s| Some((s.workload?, s.kind?)))
+    }
+
+    /// The text of each row of a body, when its rows can be split.
+    fn row_texts(body: &[u8]) -> Option<Vec<&[u8]>> {
+        let array = scan_body(body, true)?.rows?;
+        let rows = array_elements(body, array)?;
+        Some(rows.into_iter().map(|r| &body[r]).collect())
+    }
+
     #[test]
     fn routing_fields_scan_without_full_parse() {
         let body = br#"{"workload":"fmm-small","kind":"hybrid","rows":[[1,2,3,4]]}"#;
-        assert_eq!(
-            scan_routing_fields(body),
-            Some(("fmm-small".to_string(), "hybrid".to_string()))
-        );
+        assert_eq!(routing_key(body), Some(("fmm-small", "hybrid")));
         // Whitespace tolerated.
-        let spaced = br#"{ "workload" : "spmv-suite" , "kind" : "cart" }"#;
+        let spaced = b"{ \"workload\" : \"spmv-suite\" ,\n \"kind\" : \"cart\" }\n";
+        assert_eq!(routing_key(spaced), Some(("spmv-suite", "cart")));
+        // Escapes punt to the backend's parser.
+        assert_eq!(routing_key(br#"{"workload":"a\"b","kind":"c"}"#), None);
+        assert!(scan_body(br#"{"work\u006coad":"a","kind":"c"}"#, false).is_none());
+        // Missing or non-string fields punt.
+        assert_eq!(routing_key(br#"{"kind":"cart"}"#), None);
+        assert_eq!(routing_key(br#"{"workload":1,"kind":"cart"}"#), None);
+        // The first occurrence counts, as in the backend's parser.
+        let twice = br#"{"workload":"a","kind":"b","workload":"c"}"#;
+        assert_eq!(routing_key(twice), Some(("a", "b")));
+        // Not a JSON object up to the fields sought: punt.
+        for bad in [&b"[1]"[..], b"{} x", b"{\"a\" 1}", b"{\"kind\":\"b\",}"] {
+            assert!(
+                scan_body(bad, false).is_none(),
+                "{}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+        assert!(scan_body(b"{\"workload\":\"a\",\"kind\":\"b\"", true).is_none());
+    }
+
+    #[test]
+    fn row_spans_are_found_without_parsing_floats() {
+        let body = b"{\"rows\": [ [1, -0.0,\n 1E+2] ,[\"s]\", {\"a\":[]}],[]\t], \"kind\":\"k\"}";
         assert_eq!(
-            scan_routing_fields(spaced),
-            Some(("spmv-suite".to_string(), "cart".to_string()))
+            row_texts(body).expect("rows split"),
+            vec![&b"[1, -0.0,\n 1E+2]"[..], b"[\"s]\", {\"a\":[]}]", b"[]"]
         );
-        // Escapes punt to the full parser.
-        assert_eq!(
-            scan_routing_fields(br#"{"workload":"a\"b","kind":"c"}"#),
-            None
-        );
-        // Missing fields punt.
-        assert_eq!(scan_routing_fields(br#"{"kind":"cart"}"#), None);
-        assert_eq!(
-            scan_routing_fields(br#"{"workload":1,"kind":"cart"}"#),
-            None
+        let array = scan_body(body, true).and_then(|s| s.rows).expect("rows");
+        assert_eq!(&body[array.end..], b", \"kind\":\"k\"}");
+        // Separators between rows are checked; a malformed array is not
+        // split (it forwards whole and the backend rejects it).
+        for bad in [
+            &b"{\"rows\":[[1] [2]]}"[..],
+            b"{\"rows\":[[1],]}",
+            b"{\"rows\":[[1],[2]}",
+            b"{\"rows\":7}",
+        ] {
+            assert!(row_texts(bad).is_none(), "{}", String::from_utf8_lossy(bad));
+        }
+    }
+
+    #[test]
+    fn answers_merge_from_scanned_pieces() {
+        let body = br#"{"model":"fmm/hybrid/v1","predictions":[1.5,-0.0,1e300],"cache_hits":12,"micros":7}"#;
+        let (model, predictions, hits) = scan_answer(body).expect("answer scan");
+        assert_eq!(model, br#""fmm/hybrid/v1""#);
+        assert_eq!(predictions, b"1.5,-0.0,1e300");
+        assert_eq!(hits, 12);
+        assert!(scan_answer(br#"{"model":"m","predictions":[1.0]}"#).is_none());
+        assert!(scan_answer(br#"{"error":"bad row"}"#).is_none());
+    }
+
+    /// CPU time this thread has used: `utime + stime` from
+    /// `/proc/thread-self/stat`, in USER_HZ ticks (10 ms on Linux).
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("procfs");
+        let after_comm = &stat[stat.rfind(')').expect("stat has a comm field") + 2..];
+        let ticks: u64 = after_comm
+            .split(' ')
+            .skip(11)
+            .take(2)
+            .map(|field| field.parse::<u64>().expect("numeric tick count"))
+            .sum();
+        Duration::from_millis(10 * ticks)
+    }
+
+    #[test]
+    fn waiting_upstream_leg_does_not_spin() {
+        // A backend stub that answers one request only after 300 ms.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("stub binds");
+        let addr = listener.local_addr().expect("stub addr").to_string();
+        let stub = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("gateway connects");
+            let mut request = Vec::new();
+            let mut chunk = [0u8; 4096];
+            while !request.ends_with(b"{}") {
+                let n = conn.read(&mut chunk).expect("request read");
+                assert!(n > 0, "request cut short");
+                request.extend_from_slice(&chunk[..n]);
+            }
+            std::thread::sleep(Duration::from_millis(300));
+            let body = r#"{"model":"m","predictions":[1.5],"cache_hits":0,"micros":1}"#;
+            let head = format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+                body.len()
+            );
+            conn.write_all(head.as_bytes()).expect("response head");
+            conn.write_all(body.as_bytes()).expect("response body");
+        });
+        let ctx = GatewayCtx::new(&GatewayConfig::new(vec![addr.clone()]));
+        let request = encode_request("POST", "/predict", &addr, b"{}");
+        let before = thread_cpu();
+        let leg = exchange_one(&ctx, 0, request, Duration::from_secs(5));
+        let used = thread_cpu() - before;
+        stub.join().expect("stub thread");
+        assert_eq!(leg.result.expect("stub answered").status, 200);
+        assert!(
+            used < Duration::from_millis(50),
+            "waiting 300 ms on the backend cost {used:?} of this thread's CPU"
         );
     }
 

@@ -221,6 +221,117 @@ fn scatter_gather_preserves_row_order_under_pipelining() {
     b2.stop();
 }
 
+/// One `/predict` on a fresh connection (an error answer may close it).
+fn post_predict(addr: &str, body: &str) -> (u16, String) {
+    let mut client = HttpClient::connect(addr).expect("connection");
+    client.post("/predict", body).expect("predict round trip")
+}
+
+/// The `predictions` array text and `cache_hits` of a 200 answer. Text,
+/// not parsed floats: equal text is equal bits, `-0.0` and `null`
+/// included.
+fn answer_parts(body: &str) -> (String, u64) {
+    let predictions = body
+        .split_once("\"predictions\":[")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(array, _)| array.to_string())
+        .unwrap_or_else(|| panic!("no predictions array in {body}"));
+    let doc: serde::Value = serde_json::from_str(body).expect("answer is json");
+    let hits = match doc.get("cache_hits") {
+        Some(serde::Value::Number(n)) => n.as_u64(),
+        _ => None,
+    };
+    (predictions, hits.expect("cache_hits"))
+}
+
+#[test]
+fn gateway_scatter_answers_exactly_like_a_direct_backend() {
+    // Both backends share one registry, so one prediction cache: a row
+    // warmed on the direct path is a hit on either shard too.
+    let registry = Arc::new(ModelRegistry::new(temp_root("differential")));
+    let b1 = start_backend(Arc::clone(&registry));
+    let b2 = start_backend(Arc::clone(&registry));
+    let direct = b1.local_addr().to_string();
+    let gw = gateway_over(vec![direct.clone(), b2.local_addr().to_string()], 2);
+    let gw_addr = gw.local_addr().to_string();
+
+    let text = |row: &[f64]| serde_json::to_string(row).expect("row serializes");
+    let rows: Vec<String> = wid("fmm-small")
+        .sample_rows(65)
+        .iter()
+        .map(|r| text(r))
+        .collect();
+    let body = |rows: &[String]| {
+        format!(
+            r#"{{"workload":"fmm-small","kind":"linear","version":1,"rows":[{}]}}"#,
+            rows.join(",")
+        )
+    };
+    let all_65 = body(&rows);
+    let ok_bodies = [
+        // Odd whitespace and newlines inside and between rows.
+        format!(
+            "{{\"workload\":\"fmm-small\",\"kind\":\"linear\",\"rows\":[\n  {} ,\r\n\t{},{}\n,  [ 2.0 ,8192.0,\n64.0,\t4.0 ] ]  }}\n",
+            rows[0], rows[1], rows[2]
+        ),
+        // Fields in another order, rows first, and an unknown field that
+        // nests its own `rows` key.
+        format!(
+            r#"{{"rows":[{},{},{}],"extra":{{"rows":[[9]]}},"kind":"linear","version":1,"workload":"fmm-small"}}"#,
+            rows[3], rows[4], rows[5]
+        ),
+        // A repeated `rows` key: the first one counts, on both paths.
+        format!(
+            r#"{{"workload":"fmm-small","kind":"linear","rows":[{},{},{}],"rows":[{}]}}"#,
+            rows[6], rows[7], rows[8], rows[9]
+        ),
+        // Float spellings the codec must carry bit for bit.
+        body(&[
+            "[-0.0, 8192.0, 64.0, 4.0]".into(),
+            "[2.0, 1E+2, 64.0, 4.0]".into(),
+            "[2.0, 8192.0, 1e300, 4.0]".into(),
+            "[5e-324, 8192.0, 64.0, 2.2250738585072014E-308]".into(),
+        ]),
+        // 65 rows split 33/32.
+        all_65.clone(),
+    ];
+    for (i, b) in ok_bodies.iter().enumerate() {
+        let (status, _) = post_predict(&direct, b); // warms the cache
+        assert_eq!(status, 200, "body {i} warm-up failed");
+        let (status, want) = post_predict(&direct, b);
+        assert_eq!(status, 200, "body {i} failed direct: {want}");
+        let (status, got) = post_predict(&gw_addr, b);
+        assert_eq!(status, 200, "body {i} failed through the gateway: {got}");
+        assert_eq!(answer_parts(&got), answer_parts(&want), "body {i} differs");
+    }
+    let (predictions, hits) = answer_parts(&post_predict(&gw_addr, &all_65).1);
+    assert_eq!(predictions.split(',').count(), 65);
+    assert_eq!(hits, 65);
+
+    let mut wrong_arity = rows[..6].to_vec();
+    wrong_arity[4] = "[2.0, 8192.0, 64.0]".into(); // in the second chunk
+    let error_bodies = [
+        body(&wrong_arity),
+        all_65[..all_65.len() / 2].to_string(), // truncated
+        body(&[rows[0].clone(), rows[1].clone(), String::new()]), // trailing comma
+        body(&[rows[0].clone(), r#"[2.0, "8192", 64.0, 4.0]"#.into()]),
+        body(&[rows[0].clone(), r#""row""#.into()]),
+    ];
+    for (i, b) in error_bodies.iter().enumerate() {
+        let (want, _) = post_predict(&direct, b);
+        let (got, resp) = post_predict(&gw_addr, b);
+        assert!(
+            (400..500).contains(&want),
+            "error body {i} answered {want} direct"
+        );
+        assert_eq!(got, want, "error body {i} through the gateway: {resp}");
+    }
+
+    gw.stop();
+    b1.stop();
+    b2.stop();
+}
+
 #[test]
 fn killing_a_backend_fails_over_with_zero_client_errors() {
     let root = temp_root("failover");

@@ -189,6 +189,30 @@ fn one_forced_trace_spans_gateway_and_both_shards() {
         "chunk annotations disagree with the contiguous row split"
     );
 
+    // Each shard span times its own leg (send to response), inside the
+    // root's window: it cannot start before the root or outlast it.
+    let timing = |name: &str| -> Vec<(u64, u64)> {
+        let number = |span: &serde::Value, key: &str| match span.get(key) {
+            Some(serde::Value::Number(n)) => n.as_u64().expect("unsigned"),
+            _ => panic!("span without {key}"),
+        };
+        doc.get("spans")
+            .and_then(|s| s.as_array())
+            .expect("spans array")
+            .iter()
+            .filter(|span| span.get("name").and_then(|v| v.as_str()) == Some(name))
+            .map(|span| (number(span, "start_unix_ns"), number(span, "duration_ns")))
+            .collect()
+    };
+    let (root_start, root_ns) = timing("gateway.request")[0];
+    for (start, ns) in timing("gateway.shard") {
+        assert!(start >= root_start, "shard starts before its root");
+        assert!(
+            ns < root_ns,
+            "shard ({ns} ns) not shorter than its root ({root_ns} ns)"
+        );
+    }
+
     // Each backend continued its leg: every serve.request hangs off a
     // shard leg, and at least one serve-side child (queue/predict) hangs
     // off a serve.request.
