@@ -1,5 +1,7 @@
-//! Batched inference: a sharded prediction cache plus an order-preserving
-//! micro-batch executor over any [`PredictRow`] model.
+//! Batched inference: a sharded prediction cache, a sequential
+//! micro-batch executor over any [`PredictRow`] model, and the
+//! [`BatchScheduler`] whose persistent workers are the only parallelism
+//! in serving.
 //!
 //! Configuration spaces are finite, so both serving traffic and
 //! model-guided search revisit the same feature vectors constantly; a
@@ -7,20 +9,22 @@
 //! cache is sharded — each shard is its own `Mutex<HashMap>` picked by
 //! key hash — so concurrent threads rarely contend on the same lock.
 //!
-//! The executor splits a request's rows into fixed-size micro-batches and
-//! fans them across cores with the vendored rayon, whose parallel map is
-//! order preserving (results are stitched back in input order), so
-//! response position `i` always answers request row `i`.
+//! The engine walks a request's rows in fixed-size micro-batches on the
+//! calling thread, so response position `i` always answers request row
+//! `i`. Parallelism lives one level up: the scheduler coalesces
+//! submissions into lanes and splits a large lane into micro-batch
+//! chunks that its idle workers run concurrently. No call spawns a
+//! thread.
 //!
-//! This module lives in `lam-core` (not the serving crate) because it has
-//! two independent consumers: `lam-serve`'s `/predict` path and
-//! `lam-tune`'s model-guided search strategies, which score whole
-//! configuration spaces through the same executor.
+//! This module lives in `lam-core` (not the serving crate) because
+//! `lam-tune` shares its row-key convention and micro-batch size.
 
 use crate::predict::PredictRow;
 use lam_obs::{Counter, Histogram};
-use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -32,19 +36,15 @@ use std::time::{Duration, Instant};
 /// configuration row" — the tuner's parameter lattice indexes rows with
 /// the identical convention.
 pub fn row_key(row: &[f64]) -> Box<[u64]> {
-    row.iter().map(|v| v.to_bits()).collect()
+    row_bits(row).into()
 }
 
-/// FNV-1a over the key bits, for shard selection.
-fn key_hash(key: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in key {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+/// The [`row_key`] of `row`, borrowed in place: lookups need no
+/// allocation.
+fn row_bits(row: &[f64]) -> &[u64] {
+    // SAFETY: `f64` and `u64` have the same size and alignment, and every
+    // bit pattern is a valid `u64`; the view borrows `row` immutably.
+    unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u64>(), row.len()) }
 }
 
 /// Hit/miss counters of a [`PredictionCache`].
@@ -67,6 +67,9 @@ pub const DEFAULT_MAX_ENTRIES: usize = 1 << 20;
 /// simply recomputed, so the cap degrades throughput, never correctness).
 pub struct PredictionCache {
     shards: Vec<Mutex<HashMap<Box<[u64]>, f64>>>,
+    /// Keyed per process, like each shard's own table, so clients cannot
+    /// craft rows that all land on one lock.
+    shard_hasher: RandomState,
     per_shard_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -85,23 +88,24 @@ impl PredictionCache {
         Self {
             per_shard_cap: max_entries.div_ceil(shards).max(1),
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shard_hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     fn shard(&self, key: &[u64]) -> &Mutex<HashMap<Box<[u64]>, f64>> {
-        &self.shards[(key_hash(key) % self.shards.len() as u64) as usize]
+        &self.shards[(self.shard_hasher.hash_one(key) % self.shards.len() as u64) as usize]
     }
 
     /// Cached prediction for `row`, if present. Counts a hit or miss.
     pub fn get(&self, row: &[f64]) -> Option<f64> {
-        let key = row_key(row);
+        let key = row_bits(row);
         let found = self
-            .shard(&key)
+            .shard(key)
             .lock()
             .expect("cache poisoned")
-            .get(&key)
+            .get(key)
             .copied();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -111,12 +115,28 @@ impl PredictionCache {
     }
 
     /// Record a computed prediction. A full shard drops the insert
-    /// (bounded memory beats caching one more row).
+    /// (bounded memory beats caching one more row) without building an
+    /// owned key; a row it already holds is still overwritten.
     pub fn insert(&self, row: &[f64], prediction: f64) {
-        let key = row_key(row);
-        let mut shard = self.shard(&key).lock().expect("cache poisoned");
-        if shard.len() < self.per_shard_cap || shard.contains_key(&key) {
-            shard.insert(key, prediction);
+        self.store(row, prediction, true);
+    }
+
+    /// Cache what the engine computed for a row that just missed. A full
+    /// shard drops it without a second probe: the row is absent, or a
+    /// concurrent miss already stored the same value.
+    fn fill(&self, row: &[f64], prediction: f64) {
+        self.store(row, prediction, false);
+    }
+
+    fn store(&self, row: &[f64], prediction: f64, overwrite_when_full: bool) {
+        let key = row_bits(row);
+        let mut shard = self.shard(key).lock().expect("cache poisoned");
+        if shard.len() < self.per_shard_cap {
+            shard.insert(key.into(), prediction);
+        } else if overwrite_when_full {
+            if let Some(slot) = shard.get_mut(key) {
+                *slot = prediction;
+            }
         }
     }
 
@@ -154,50 +174,18 @@ pub struct BatchOutcome {
 /// Pre-resolved global-metrics handles of one [`BatchEngine`], interned
 /// once at engine construction (label lookup never runs on the predict
 /// path). The `scope` label tells engines apart: serving engines use
-/// `workload/kind`, shared/anonymous engines use `"shared"`.
+/// `workload/kind`, shared/anonymous engines use `"shared"`. The engine
+/// runs on its caller's thread and queues nothing, so waiting is the
+/// scheduler's to measure, not the engine's.
 struct EngineMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     batch_rows: Arc<Histogram>,
-    queue_wait_ns: Arc<Histogram>,
     lookup_ns: Arc<Histogram>,
     predict_ns: Arc<Histogram>,
 }
 
-/// Timings and tallies of one executed micro-batch. Measured inside the
-/// (possibly parallel) execution but recorded into the global registry
-/// only after the parallel section: concurrent `fetch_add`s from rayon
-/// workers onto the same counters bounce their cache lines, and that
-/// contention would be charged to the very request being measured.
-struct MicroBatchObs {
-    queue_wait_ns: u64,
-    rows: u64,
-    lookup_ns: Option<u64>,
-    predict_ns: Option<u64>,
-    hits: u64,
-    misses: u64,
-}
-
-/// One micro-batch's output: predictions (request order), cache hits,
-/// the indexes of rows that missed, and the observability sample to
-/// record once outside any parallel section.
-type MicroBatchParts = (Vec<f64>, u64, Vec<usize>, Option<MicroBatchObs>);
-
 impl EngineMetrics {
-    /// Flush one micro-batch's measurements (serial, uncontended).
-    fn record(&self, obs: &MicroBatchObs) {
-        self.queue_wait_ns.record(obs.queue_wait_ns);
-        self.batch_rows.record(obs.rows);
-        self.hits.add(obs.hits);
-        self.misses.add(obs.misses);
-        if let Some(ns) = obs.lookup_ns {
-            self.lookup_ns.record(ns);
-        }
-        if let Some(ns) = obs.predict_ns {
-            self.predict_ns.record(ns);
-        }
-    }
-
     fn for_scope(scope: &str) -> Self {
         let reg = lam_obs::global();
         let labels = [("scope", scope)];
@@ -213,19 +201,14 @@ impl EngineMetrics {
                 &labels,
             ),
             batch_rows: reg.histogram("lam_batch_rows", "Rows per executed micro-batch.", &labels),
-            queue_wait_ns: reg.histogram(
-                "lam_batch_queue_wait_ns",
-                "Delay between request arrival at the engine and micro-batch execution start.",
-                &labels,
-            ),
             lookup_ns: reg.histogram(
                 "lam_batch_phase_ns",
-                "Micro-batch phase duration, nanoseconds.",
+                "Engine-call phase duration, nanoseconds.",
                 &[("scope", scope), ("phase", "cache-lookup")],
             ),
             predict_ns: reg.histogram(
                 "lam_batch_phase_ns",
-                "Micro-batch phase duration, nanoseconds.",
+                "Engine-call phase duration, nanoseconds.",
                 &[("scope", scope), ("phase", "predict")],
             ),
         }
@@ -240,7 +223,8 @@ pub struct BatchEngine {
 }
 
 /// Micro-batch size balancing per-batch overhead against load balance;
-/// also the default shard count.
+/// also the default shard count and the chunk size in which the
+/// [`BatchScheduler`] splits large lanes across its workers.
 pub const DEFAULT_MICRO_BATCH: usize = 64;
 
 impl Default for BatchEngine {
@@ -272,113 +256,64 @@ impl BatchEngine {
         &self.cache
     }
 
-    /// Predict one micro-batch through the cache, counting hits locally
-    /// (not from the global counters, which concurrent requests advance
-    /// too).
+    /// Predict one micro-batch through the cache, appending one
+    /// prediction and one hit flag per row; returns the misses, counted
+    /// locally (not from the global counters, which concurrent requests
+    /// advance too).
     ///
     /// Misses are gathered by reference and handed to the model in **one**
     /// [`PredictRow::predict_rows_by_ref`] call, so models with a batch
     /// fast path (arena-compiled trees evaluate misses block-wise) see the
     /// whole miss set instead of a per-row callback. Duplicate rows within
     /// one micro-batch are computed together in that call; they produce
-    /// identical values, so the cache still converges to one entry.
-    /// `enqueued` is the engine-entry instant when observability is on
-    /// (`None` when recording is disabled — then no clocks are read and
-    /// no metrics are touched, the baseline the overhead bench measures).
-    /// The returned [`MicroBatchObs`] is the caller's to record, *after*
-    /// leaving any parallel section.
+    /// identical values, so the cache still converges to one entry. When
+    /// `predict_ns` is given (observability on), the model call and the
+    /// fills after it are timed into it: only miss-bearing micro-batches
+    /// read the clock, where model compute dwarfs it.
     fn predict_micro_batch(
         &self,
         model: &dyn PredictRow,
         batch: &[Vec<f64>],
-        enqueued: Option<Instant>,
-    ) -> MicroBatchParts {
-        let started = enqueued.map(|t| {
-            let now = Instant::now();
-            ((now - t).as_nanos() as u64, now)
-        });
-        let mut hits = 0u64;
-        let mut predictions = vec![0.0f64; batch.len()];
-        let mut miss_idx: Vec<usize> = Vec::new();
+        predictions: &mut Vec<f64>,
+        hit_mask: &mut Vec<bool>,
+        predict_ns: Option<&mut u64>,
+    ) -> u64 {
+        let base = predictions.len();
         let mut miss_rows: Vec<&[f64]> = Vec::new();
-        for (i, row) in batch.iter().enumerate() {
-            match self.cache.get(row) {
-                Some(y) => {
-                    hits += 1;
-                    predictions[i] = y;
-                }
-                None => {
-                    miss_idx.push(i);
-                    miss_rows.push(row);
-                }
+        for row in batch {
+            let found = self.cache.get(row);
+            predictions.push(found.unwrap_or(0.0));
+            hit_mask.push(found.is_some());
+            if found.is_none() {
+                miss_rows.push(row);
             }
         }
-        let mut obs = started.map(|(queue_wait_ns, _)| MicroBatchObs {
-            queue_wait_ns,
-            rows: batch.len() as u64,
-            lookup_ns: None,
-            predict_ns: None,
-            hits,
-            misses: miss_rows.len() as u64,
-        });
-        if !miss_rows.is_empty() {
-            // Phase timings are only taken on miss-bearing micro-batches,
-            // where model compute dwarfs the clock reads. The all-hit fast
-            // path pays a single `Instant::now` (the queue-wait read above)
-            // — `Instant::now` costs ~44ns here, several times a counter
-            // add, and would dominate the <2% overhead budget otherwise.
-            // One `now` both closes the lookup phase and opens predict.
-            let predict_start = started.map(|(_, start)| {
-                let now = Instant::now();
-                if let Some(obs) = obs.as_mut() {
-                    obs.lookup_ns = Some((now - start).as_nanos() as u64);
-                }
-                now
-            });
-            let computed = model.predict_rows_by_ref(&miss_rows);
-            for ((&i, row), y) in miss_idx.iter().zip(&miss_rows).zip(computed) {
-                self.cache.insert(row, y);
-                predictions[i] = y;
-            }
-            if let (Some(t), Some(obs)) = (predict_start, obs.as_mut()) {
-                obs.predict_ns = Some(t.elapsed().as_nanos() as u64);
-            }
+        let misses = miss_rows.len() as u64;
+        if misses == 0 {
+            return 0;
         }
-        (predictions, hits, miss_idx, obs)
+        let started = predict_ns.is_some().then(Instant::now);
+        let computed = model.predict_rows_by_ref(&miss_rows);
+        let miss_slots = (base..predictions.len()).filter(|&i| !hit_mask[i]);
+        for ((i, row), y) in miss_slots.zip(miss_rows).zip(computed) {
+            self.cache.fill(row, y);
+            predictions[i] = y;
+        }
+        if let (Some(total), Some(t)) = (predict_ns, started) {
+            *total += t.elapsed().as_nanos() as u64;
+        }
+        misses
     }
 
-    /// Predict every row of the request through the cache, fanning
-    /// micro-batches across cores. Response order matches request order.
-    ///
-    /// Requests that fit in one micro-batch skip the parallel executor
-    /// entirely — its fixed entry cost would dominate a single cache
-    /// lookup.
+    /// Predict every row of the request through the cache, one
+    /// micro-batch after another on the calling thread. Response order
+    /// matches request order.
     pub fn predict(&self, model: &dyn PredictRow, rows: &[Vec<f64>]) -> BatchOutcome {
-        // One flag read and (when on) one clock read per request; every
-        // per-micro-batch record site keys off this `Option`.
-        let enqueued = lam_obs::enabled().then(Instant::now);
-        if rows.len() <= self.micro_batch {
-            let (predictions, cache_hits, _, obs) = self.predict_micro_batch(model, rows, enqueued);
-            if let Some(obs) = obs {
-                self.metrics.record(&obs);
-            }
-            return BatchOutcome {
-                predictions,
-                cache_hits,
-            };
-        }
-        let batches: Vec<&[Vec<f64>]> = rows.chunks(self.micro_batch).collect();
-        let parts: Vec<MicroBatchParts> = batches
-            .par_iter()
-            .map(|batch| self.predict_micro_batch(model, batch, enqueued))
-            .collect();
-        for (_, _, _, obs) in &parts {
-            if let Some(obs) = obs {
-                self.metrics.record(obs);
-            }
-        }
-        let cache_hits = parts.iter().map(|(_, h, _, _)| h).sum();
-        let predictions: Vec<f64> = parts.into_iter().flat_map(|(p, _, _, _)| p).collect();
+        let MaskedOutcome {
+            predictions,
+            cache_hits,
+            ..
+        } = self.predict_masked(model, rows);
         BatchOutcome {
             predictions,
             cache_hits,
@@ -391,28 +326,34 @@ impl BatchEngine {
     /// tallies (a proportional split would misattribute hits whenever one
     /// request's rows are warm and another's are cold).
     ///
-    /// Runs micro-batches sequentially: coalesced flushes are already the
-    /// parallelism unit upstream (scheduler workers), so nesting a rayon
-    /// fan-out here would only add entry cost.
+    /// Observability costs one flag read and, when on, one clock read per
+    /// call plus a few records; phase timings (model calls vs the rest of
+    /// the call) are recorded only for calls that missed.
     pub fn predict_masked(&self, model: &dyn PredictRow, rows: &[Vec<f64>]) -> MaskedOutcome {
-        let enqueued = lam_obs::enabled().then(Instant::now);
+        let entered = lam_obs::enabled().then(Instant::now);
         let mut predictions = Vec::with_capacity(rows.len());
-        let mut hit_mask = vec![true; rows.len()];
-        let mut cache_hits = 0u64;
-        for (chunk_start, batch) in rows.chunks(self.micro_batch.max(1)).scan(0usize, |off, c| {
-            let start = *off;
-            *off += c.len();
-            Some((start, c))
-        }) {
-            let (preds, hits, miss_idx, obs) = self.predict_micro_batch(model, batch, enqueued);
-            if let Some(obs) = obs {
-                self.metrics.record(&obs);
+        let mut hit_mask = Vec::with_capacity(rows.len());
+        let mut predict_ns = 0u64;
+        let mut misses = 0u64;
+        for batch in rows.chunks(self.micro_batch) {
+            let timing = entered.map(|_| &mut predict_ns);
+            misses +=
+                self.predict_micro_batch(model, batch, &mut predictions, &mut hit_mask, timing);
+            if entered.is_some() {
+                self.metrics.batch_rows.record(batch.len() as u64);
             }
-            cache_hits += hits;
-            for i in miss_idx {
-                hit_mask[chunk_start + i] = false;
+        }
+        let cache_hits = rows.len() as u64 - misses;
+        if let Some(entered) = entered {
+            self.metrics.hits.add(cache_hits);
+            if misses > 0 {
+                self.metrics.misses.add(misses);
+                let call_ns = entered.elapsed().as_nanos() as u64;
+                self.metrics
+                    .lookup_ns
+                    .record(call_ns.saturating_sub(predict_ns));
+                self.metrics.predict_ns.record(predict_ns);
             }
-            predictions.extend(preds);
         }
         MaskedOutcome {
             predictions,
@@ -474,9 +415,11 @@ pub struct SchedulerOptions {
     pub flush_deadline: Duration,
     /// Total rows allowed across all lanes; submissions beyond it are
     /// refused ([`SubmitError::QueueFull`]) so overload sheds instead of
-    /// queueing without bound.
+    /// queueing without bound. A lone submission larger than the whole
+    /// budget is still admitted while nothing else is queued.
     pub max_queued_rows: usize,
-    /// Executor threads draining ready lanes.
+    /// Executor threads draining ready lanes; a lane larger than one
+    /// [`DEFAULT_MICRO_BATCH`] runs across them in micro-batch chunks.
     pub workers: usize,
 }
 
@@ -491,27 +434,139 @@ impl Default for SchedulerOptions {
     }
 }
 
-/// One queued submission: rows plus the completion that receives its
-/// slice of the coalesced outcome.
+/// One queued submission: its row count (the rows themselves live in the
+/// lane) plus the completion that receives its slice of the coalesced
+/// outcome.
 struct LaneEntry {
-    rows: Vec<Vec<f64>>,
+    rows: usize,
     enqueued: Instant,
     complete: Box<dyn FnOnce(MaskedOutcome) + Send>,
 }
 
 /// All queued submissions against one target, coalesced into the next
-/// flush.
+/// flush. The lane owns every submission's rows, in submission order.
 struct Lane {
     target: Arc<dyn BatchTarget>,
+    rows: Vec<Vec<f64>>,
     entries: Vec<LaneEntry>,
-    rows: usize,
     opened: Instant,
 }
 
 struct SchedulerState {
     lanes: HashMap<usize, Lane>,
+    /// Micro-batch chunks of flushed lanes that no worker has picked up
+    /// yet, oldest first.
+    chunks: VecDeque<(Arc<Flush>, usize)>,
     queued_rows: usize,
     stopping: bool,
+}
+
+/// A flushed lane in execution. Its rows run as [`DEFAULT_MICRO_BATCH`]
+/// chunks that idle workers pick up concurrently; whichever worker
+/// finishes the last chunk completes every submission.
+struct Flush {
+    target: Arc<dyn BatchTarget>,
+    rows: Vec<Vec<f64>>,
+    progress: Mutex<FlushProgress>,
+}
+
+struct FlushProgress {
+    entries: Vec<LaneEntry>,
+    /// One slot per chunk; `None` until it ran, and for a chunk whose
+    /// target panicked.
+    outcomes: Vec<Option<MaskedOutcome>>,
+    remaining: usize,
+}
+
+impl Flush {
+    /// The flush and its chunk count.
+    fn new(lane: Lane) -> (Self, usize) {
+        let chunks = lane.rows.len().div_ceil(DEFAULT_MICRO_BATCH).max(1);
+        let flush = Self {
+            target: lane.target,
+            rows: lane.rows,
+            progress: Mutex::new(FlushProgress {
+                entries: lane.entries,
+                outcomes: (0..chunks).map(|_| None).collect(),
+                remaining: chunks,
+            }),
+        };
+        (flush, chunks)
+    }
+
+    /// Run chunk `i`; the call that finishes the last chunk completes the
+    /// lane's submissions. A panic inside the target loses only this
+    /// lane: its completions are dropped unrun (a serving completion's
+    /// responder then answers 500), and the worker lives on.
+    fn run_chunk(&self, i: usize, metrics: &SchedulerMetrics) {
+        let lo = (i * DEFAULT_MICRO_BATCH).min(self.rows.len());
+        let hi = (lo + DEFAULT_MICRO_BATCH).min(self.rows.len());
+        if i == 0 && lam_obs::enabled() {
+            let started = Instant::now();
+            let progress = self.progress.lock().expect("flush poisoned");
+            metrics.occupancy.record(progress.entries.len() as u64);
+            metrics.flush_rows.record(self.rows.len() as u64);
+            for e in &progress.entries {
+                let wait = (started - e.enqueued).as_nanos();
+                metrics
+                    .queue_wait_ns
+                    .record(wait.min(u64::MAX as u128) as u64);
+            }
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.target.run_batch(&self.rows[lo..hi])
+        }));
+        let mut progress = self.progress.lock().expect("flush poisoned");
+        progress.outcomes[i] = outcome.ok();
+        progress.remaining -= 1;
+        if progress.remaining > 0 {
+            return;
+        }
+        let entries = std::mem::take(&mut progress.entries);
+        let outcomes = std::mem::take(&mut progress.outcomes);
+        drop(progress);
+        if let Some(outcome) = merge(outcomes) {
+            complete(entries, outcome);
+        }
+    }
+}
+
+/// Concatenate chunk outcomes in row order; `None` when any chunk failed.
+fn merge(outcomes: Vec<Option<MaskedOutcome>>) -> Option<MaskedOutcome> {
+    let mut outcomes = outcomes.into_iter();
+    let mut merged = outcomes.next()??;
+    for next in outcomes {
+        let next = next?;
+        merged.predictions.extend(next.predictions);
+        merged.hit_mask.extend(next.hit_mask);
+        merged.cache_hits += next.cache_hits;
+    }
+    Some(merged)
+}
+
+/// Hand each submission its slice of a lane's outcome, in row order. A
+/// lone submission takes the outcome whole.
+fn complete(mut entries: Vec<LaneEntry>, outcome: MaskedOutcome) {
+    debug_assert_eq!(
+        outcome.predictions.len(),
+        entries.iter().map(|e| e.rows).sum::<usize>()
+    );
+    if entries.len() == 1 {
+        let entry = entries.pop().expect("one entry");
+        (entry.complete)(outcome);
+        return;
+    }
+    let mut offset = 0usize;
+    for entry in entries {
+        let range = offset..offset + entry.rows;
+        offset = range.end;
+        let hit_mask = outcome.hit_mask[range.clone()].to_vec();
+        (entry.complete)(MaskedOutcome {
+            predictions: outcome.predictions[range].to_vec(),
+            cache_hits: hit_mask.iter().filter(|&&h| h).count() as u64,
+            hit_mask,
+        });
+    }
 }
 
 /// Pre-interned scheduler metrics: how well cross-request coalescing is
@@ -542,7 +597,7 @@ impl SchedulerMetrics {
             ),
             queue_wait_ns: reg.histogram(
                 "lam_batch_queue_wait_ns",
-                "Delay between request arrival at the engine and micro-batch execution start.",
+                "Delay between a submission to the batch scheduler and its lane's execution start.",
                 &labels,
             ),
             shed: reg.counter(
@@ -557,7 +612,8 @@ impl SchedulerMetrics {
 /// A cross-request micro-batching executor: concurrent submissions
 /// against the same [`BatchTarget`] coalesce into one batched predict
 /// call, so many small independent requests get ensemble-batch
-/// throughput.
+/// throughput, and a large flushed lane runs in [`DEFAULT_MICRO_BATCH`]
+/// chunks across the persistent workers.
 ///
 /// Lanes (one per target) flush when any of three conditions holds:
 ///
@@ -597,6 +653,7 @@ impl BatchScheduler {
         let shared = Arc::new(SchedulerShared {
             state: Mutex::new(SchedulerState {
                 lanes: HashMap::new(),
+                chunks: VecDeque::new(),
                 queued_rows: 0,
                 stopping: false,
             }),
@@ -635,13 +692,15 @@ impl BatchScheduler {
     /// handler answers 503 with the response channel it would otherwise
     /// move into the closure). Refusal is the backpressure signal:
     /// beyond [`SchedulerOptions::max_queued_rows`] the caller sheds
-    /// instead of queueing without bound.
+    /// instead of queueing without bound. An empty queue admits any
+    /// submission, so one larger than the whole budget is served, not
+    /// refused on every try.
     pub fn try_reserve(&self, n_rows: usize) -> Result<SubmitPermit, SubmitError> {
         let mut state = self.shared.state.lock().expect("scheduler poisoned");
         if state.stopping {
             return Err(SubmitError::ShuttingDown);
         }
-        if state.queued_rows + n_rows > self.shared.opts.max_queued_rows {
+        if state.queued_rows > 0 && state.queued_rows + n_rows > self.shared.opts.max_queued_rows {
             self.shared.metrics.shed.inc();
             return Err(SubmitError::QueueFull);
         }
@@ -665,29 +724,21 @@ impl BatchScheduler {
     /// Flush every remaining lane, then stop and join the executors.
     /// Queued completions still run (graceful drain); new submissions are
     /// refused from the moment this is called.
-    pub fn shutdown(mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("scheduler poisoned");
-            state.stopping = true;
-        }
-        self.shared.ready.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for BatchScheduler {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            {
-                let mut state = self.shared.state.lock().expect("scheduler poisoned");
-                state.stopping = true;
-            }
-            self.shared.ready.notify_all();
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
+        self.shared
+            .state
+            .lock()
+            .expect("scheduler poisoned")
+            .stopping = true;
+        self.shared.ready.notify_all();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
 }
@@ -735,13 +786,17 @@ impl SubmitPermit {
         let now = Instant::now();
         let lane = state.lanes.entry(key).or_insert_with(|| Lane {
             target,
+            rows: Vec::new(),
             entries: Vec::new(),
-            rows: 0,
             opened: now,
         });
-        lane.rows += n;
+        if lane.rows.is_empty() {
+            lane.rows = rows;
+        } else {
+            lane.rows.extend(rows);
+        }
         lane.entries.push(LaneEntry {
-            rows,
+            rows: n,
             enqueued: now,
             complete,
         });
@@ -790,7 +845,7 @@ fn take_ready_lane(
     let mut ready_key = None;
     for (&key, lane) in &state.lanes {
         let age = now.saturating_duration_since(lane.opened);
-        if lane.rows >= opts.max_batch_rows
+        if lane.rows.len() >= opts.max_batch_rows
             || age >= opts.flush_deadline
             || producers_idle
             || state.stopping
@@ -807,22 +862,47 @@ fn take_ready_lane(
     match ready_key {
         Some(key) => {
             let lane = state.lanes.remove(&key).expect("key just seen");
-            state.queued_rows -= lane.rows;
+            state.queued_rows -= lane.rows.len();
             Ok(lane)
         }
         None => Err(next_deadline),
     }
 }
 
+/// Run queued chunks first (they finish requests already in flight),
+/// then flush ready lanes into chunks; sleep when there is neither.
 fn worker_loop(shared: &SchedulerShared) {
-    let mut state = shared.state.lock().expect("scheduler poisoned");
+    let lock = || shared.state.lock().expect("scheduler poisoned");
+    // `run_chunk` already contains a panicking target; this guard keeps
+    // the worker alive through a panicking completion too.
+    let run = |flush: &Flush, chunk| {
+        let _ = catch_unwind(AssertUnwindSafe(|| flush.run_chunk(chunk, &shared.metrics)));
+    };
+    let mut state = lock();
     loop {
+        if let Some((flush, chunk)) = state.chunks.pop_front() {
+            drop(state);
+            run(&flush, chunk);
+            state = lock();
+            continue;
+        }
         let producers_idle = shared.producers.load(Ordering::SeqCst) == 0;
         match take_ready_lane(&mut state, &shared.opts, producers_idle, Instant::now()) {
             Ok(lane) => {
                 drop(state);
-                execute_lane(shared, lane);
-                state = shared.state.lock().expect("scheduler poisoned");
+                let (flush, chunks) = Flush::new(lane);
+                let flush = Arc::new(flush);
+                if chunks > 1 {
+                    // Queue the rest for idle workers; this one runs the
+                    // first chunk.
+                    let rest = (1..chunks).map(|i| (Arc::clone(&flush), i));
+                    lock().chunks.extend(rest);
+                    for _ in 1..chunks.min(shared.opts.workers) {
+                        shared.ready.notify_one();
+                    }
+                }
+                run(&flush, 0);
+                state = lock();
             }
             Err(next_deadline) => {
                 if state.stopping && state.lanes.is_empty() {
@@ -839,39 +919,6 @@ fn worker_loop(shared: &SchedulerShared) {
                     .0;
             }
         }
-    }
-}
-
-/// Execute one coalesced lane outside the scheduler lock and split the
-/// outcome back per submission, preserving each submission's row order.
-fn execute_lane(shared: &SchedulerShared, lane: Lane) {
-    let enabled = lam_obs::enabled();
-    let started = enabled.then(Instant::now);
-    let all_rows: Vec<Vec<f64>> = lane.entries.iter().flat_map(|e| e.rows.clone()).collect();
-    let outcome = lane.target.run_batch(&all_rows);
-    debug_assert_eq!(outcome.predictions.len(), all_rows.len());
-    if let Some(started) = started {
-        shared.metrics.occupancy.record(lane.entries.len() as u64);
-        shared.metrics.flush_rows.record(all_rows.len() as u64);
-        for e in &lane.entries {
-            shared
-                .metrics
-                .queue_wait_ns
-                .record((started - e.enqueued).as_nanos().min(u64::MAX as u128) as u64);
-        }
-    }
-    let mut offset = 0usize;
-    for entry in lane.entries {
-        let n = entry.rows.len();
-        let predictions = outcome.predictions[offset..offset + n].to_vec();
-        let hit_mask = outcome.hit_mask[offset..offset + n].to_vec();
-        let cache_hits = hit_mask.iter().filter(|&&h| h).count() as u64;
-        offset += n;
-        (entry.complete)(MaskedOutcome {
-            predictions,
-            hit_mask,
-            cache_hits,
-        });
     }
 }
 
@@ -974,13 +1021,13 @@ mod tests {
         // 20 rows in 8-row micro-batches = 3 batches per pass.
         assert_eq!(sizes.count(), 6);
         assert_eq!(sizes.max, 8);
+        // The engine queues nothing: waiting is the scheduler's series.
         let waits = reg
             .histogram("lam_batch_queue_wait_ns", "", &labels)
             .snapshot();
-        assert_eq!(waits.count(), 6);
-        // Phase timings are only taken on miss-bearing micro-batches
-        // (the all-hit fast path skips the extra clock reads), so only
-        // the first pass's 3 micro-batches show up here.
+        assert_eq!(waits.count(), 0);
+        // Phase timings are only taken on calls that missed (the all-hit
+        // path skips them), so only the first pass shows up here.
         let lookups = reg
             .histogram(
                 "lam_batch_phase_ns",
@@ -988,7 +1035,7 @@ mod tests {
                 &[("scope", scope), ("phase", "cache-lookup")],
             )
             .snapshot();
-        assert_eq!(lookups.count(), 3);
+        assert_eq!(lookups.count(), 1);
     }
 
     #[test]
@@ -1188,17 +1235,163 @@ mod tests {
         sched.shutdown();
     }
 
+    /// Target recording the row count of every executed batch and the
+    /// most batches it ever ran at once.
+    struct ChunkTarget {
+        engine: BatchEngine,
+        sizes: Mutex<Vec<usize>>,
+        running: AtomicUsize,
+        max_running: AtomicUsize,
+    }
+    impl BatchTarget for ChunkTarget {
+        fn run_batch(&self, rows: &[Vec<f64>]) -> MaskedOutcome {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max_running.fetch_max(now, Ordering::SeqCst);
+            self.sizes.lock().unwrap().push(rows.len());
+            // Hold the chunk until a second one runs beside it (or give
+            // up after 2 s, which the concurrency assertion then catches).
+            let waiting = Instant::now();
+            while self.max_running.load(Ordering::SeqCst) < 2
+                && waiting.elapsed() < Duration::from_secs(2)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let out = self.engine.predict_masked(&Toy, rows);
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            out
+        }
+    }
+
+    #[test]
+    fn large_lanes_run_as_micro_batch_chunks_across_workers() {
+        let sched = BatchScheduler::new(SchedulerOptions {
+            flush_deadline: Duration::from_millis(50),
+            workers: 2,
+            ..SchedulerOptions::default()
+        });
+        let target = Arc::new(ChunkTarget {
+            engine: BatchEngine::new(512, 4),
+            sizes: Mutex::new(Vec::new()),
+            running: AtomicUsize::new(0),
+            max_running: AtomicUsize::new(0),
+        });
+        // Warm every third row of the big submission: the hit split per
+        // submission must stay exact across chunk boundaries.
+        let big: Vec<Vec<f64>> = (0..300).map(|i| vec![i as f64, 3.0]).collect();
+        let warm: Vec<Vec<f64>> = big.iter().step_by(3).cloned().collect();
+        target.engine.predict(&Toy, &warm);
+        let small = vec![vec![1000.0, 0.0], vec![3.0, 3.0]];
+        let results: Arc<Mutex<Vec<Option<MaskedOutcome>>>> = Arc::new(Mutex::new(vec![None; 2]));
+        {
+            let _hint = sched.producer_hint();
+            for (i, rows) in [big.clone(), small.clone()].into_iter().enumerate() {
+                let results = Arc::clone(&results);
+                let t: Arc<dyn BatchTarget> = target.clone();
+                sched.try_reserve(rows.len()).expect("reserve").submit(
+                    t,
+                    rows,
+                    Box::new(move |out| results.lock().unwrap()[i] = Some(out)),
+                );
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while results.lock().unwrap().iter().any(Option::is_none) {
+            assert!(Instant::now() < deadline, "scheduler never completed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let outs = results.lock().unwrap().clone();
+        let (big_out, small_out) = (outs[0].clone().unwrap(), outs[1].clone().unwrap());
+        for (rows, out) in [(&big, &big_out), (&small, &small_out)] {
+            let want: Vec<f64> = rows.iter().map(|r| Toy.predict_row(r)).collect();
+            assert_eq!(out.predictions, want);
+        }
+        let big_mask: Vec<bool> = (0..300).map(|i| i % 3 == 0).collect();
+        assert_eq!(big_out.hit_mask, big_mask);
+        assert_eq!(big_out.cache_hits, 100);
+        assert_eq!(small_out.hit_mask, vec![false, true]);
+        assert_eq!(small_out.cache_hits, 1);
+        // One 302-row lane: four full 64-row chunks and a 46-row tail,
+        // run by both workers at once.
+        let mut sizes = target.sizes.lock().unwrap().clone();
+        sizes.sort_unstable();
+        assert_eq!(sizes, vec![46, 64, 64, 64, 64]);
+        assert_eq!(target.max_running.load(Ordering::SeqCst), 2);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn lanes_of_one_micro_batch_run_as_one_batch() {
+        let sched = BatchScheduler::new(SchedulerOptions::default());
+        let target = counting_target();
+        let rows: Vec<Vec<f64>> = (0..DEFAULT_MICRO_BATCH)
+            .map(|i| vec![i as f64, 0.0])
+            .collect();
+        let outs = submit_and_collect(&sched, target.clone(), vec![rows]);
+        assert_eq!(outs[0].predictions.len(), DEFAULT_MICRO_BATCH);
+        assert_eq!(target.calls.load(Ordering::SeqCst), 1);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn a_submission_larger_than_the_budget_runs_when_the_queue_is_empty() {
+        let sched = BatchScheduler::new(SchedulerOptions {
+            max_queued_rows: 100,
+            ..SchedulerOptions::default()
+        });
+        let target = counting_target();
+        let rows: Vec<Vec<f64>> = (0..1000).map(|i| vec![i as f64, 1.0]).collect();
+        let outs = submit_and_collect(&sched, target, vec![rows]);
+        assert_eq!(outs[0].predictions.len(), 1000);
+        assert_eq!(outs[0].predictions[999], 1999.0);
+        sched.shutdown();
+    }
+
+    /// Panics on any row whose first feature is negative.
+    struct Fragile;
+    impl BatchTarget for Fragile {
+        fn run_batch(&self, rows: &[Vec<f64>]) -> MaskedOutcome {
+            assert!(rows.iter().all(|r| r[0] >= 0.0), "model panicked");
+            BatchEngine::new(8, 1).predict_masked(&Toy, rows)
+        }
+    }
+
+    #[test]
+    fn a_panicking_target_drops_its_lane_and_keeps_the_workers() {
+        let opts = SchedulerOptions::default();
+        let workers = opts.workers;
+        let sched = BatchScheduler::new(opts);
+        let target: Arc<dyn BatchTarget> = Arc::new(Fragile);
+        let submit = |rows: Vec<Vec<f64>>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            sched.try_reserve(rows.len()).expect("reserve").submit(
+                Arc::clone(&target),
+                rows,
+                Box::new(move |out| tx.send(out).unwrap()),
+            );
+            rx
+        };
+        // More panicking lanes than workers, one of them split in chunks.
+        for i in 0..=workers {
+            let n = if i == 0 { 200 } else { 1 };
+            let rx = submit(vec![vec![-1.0, 0.0]; n]);
+            // The completion is dropped unrun: its sender disconnects.
+            assert!(rx.recv_timeout(Duration::from_secs(2)).is_err());
+        }
+        let rx = submit(vec![vec![2.0, 1.0]]);
+        let out = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a worker must survive the panics");
+        assert_eq!(out.predictions, vec![5.0]);
+        sched.shutdown();
+    }
+
     #[test]
     fn duplicate_rows_in_one_request_hit_after_first_compute() {
         let engine = BatchEngine::new(1, 2);
         let rows = vec![vec![5.0, 1.0]; 10];
-        // One worker thread makes the hit count deterministic: the first
+        // Micro-batches run in order on the calling thread: the first
         // occurrence computes, the other nine hit.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let out = pool.install(|| engine.predict(&Toy, &rows));
+        let out = engine.predict(&Toy, &rows);
         assert_eq!(out.cache_hits, 9);
         assert!(out.predictions.iter().all(|&y| y == 11.0));
         assert_eq!(engine.cache().len(), 1);

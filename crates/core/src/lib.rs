@@ -28,8 +28,8 @@
 //! pick up new scenarios from one registration call instead of an enum
 //! edit. [`predict`] exposes the object-safe read-only [`PredictRow`]
 //! surface serving layers share across threads, and [`batch`] the sharded
-//! prediction cache + order-preserving micro-batch executor that both the
-//! serving layer and the autotuner score models through.
+//! prediction cache, the order-preserving micro-batch executor and the
+//! batch scheduler whose persistent workers run every served prediction.
 
 pub mod batch;
 pub mod catalog;

@@ -1,19 +1,10 @@
 //! Serving-side batched inference: request-row validation in front of the
-//! shared micro-batch executor.
+//! cache, executor and scheduler of [`lam_core::batch`].
 //!
-//! The cache and executor themselves live in [`lam_core::batch`] — they
-//! have a second consumer in `lam-tune`'s model-guided search — and are
-//! re-exported here so serving code (and its historical callers) keep one
-//! import path. What stays in this module is the serving-specific piece:
-//! [`validate_rows`], the input firewall that turns malformed client rows
-//! into typed [`ServeError`]s before any model dispatch.
+//! [`validate_rows`] is the input firewall that turns malformed client
+//! rows into typed [`ServeError`]s before any model dispatch.
 
 use crate::ServeError;
-
-pub use lam_core::batch::{
-    BatchEngine, BatchOutcome, CacheStats, PredictionCache, DEFAULT_MAX_ENTRIES,
-    DEFAULT_MICRO_BATCH,
-};
 
 /// Validate request rows before any model dispatch: every row must carry
 /// exactly `expected` features and every value must be finite.
@@ -42,6 +33,7 @@ pub fn validate_rows(expected: usize, rows: &[Vec<f64>]) -> Result<(), ServeErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lam_core::batch::BatchEngine;
     use lam_core::predict::PredictRow;
 
     #[test]

@@ -27,10 +27,11 @@
 //! epoll reactor thread owns every socket and the per-connection
 //! HTTP/1.1 state machines (incremental parsing, keep-alive, pipelining,
 //! idle/slowloris timeouts); `workers` handler threads route requests
-//! pulled from a bounded dispatch queue; small `/predict` requests
-//! submit their rows to a shared [`BatchScheduler`] that coalesces
-//! micro-batches *across connections*, completing responses back through
-//! the reactor. Both queues shed with `503` + `retry-after` instead of
+//! pulled from a bounded dispatch queue; every `/predict` request
+//! submits its rows to a shared [`BatchScheduler`] that coalesces
+//! micro-batches *across connections*, splits large ones across its
+//! persistent workers, and completes responses back through the
+//! reactor. Both queues shed with `503` + `retry-after` instead of
 //! growing without bound, and shutdown drains in-flight requests. The
 //! previous blocking thread-per-connection implementation survives as
 //! [`crate::reference`], as the benchmark baseline.
@@ -243,12 +244,8 @@ pub struct ServeConfig {
     /// `retry-after` seconds on shed responses.
     pub retry_after_secs: u32,
     /// Cross-connection micro-batching knobs (flush size/deadline, row
-    /// budget, executor threads).
+    /// budget, executor threads — the only threads that evaluate models).
     pub batch: SchedulerOptions,
-    /// Requests with at least this many rows skip the coalescing
-    /// scheduler and predict directly on the handler thread — they are
-    /// already a full micro-batch, so queueing them buys nothing.
-    pub direct_batch_rows: usize,
 }
 
 impl ServeConfig {
@@ -264,7 +261,6 @@ impl ServeConfig {
             drain_deadline: Duration::from_secs(5),
             retry_after_secs: 1,
             batch: SchedulerOptions::default(),
-            direct_batch_rows: lam_core::batch::DEFAULT_MICRO_BATCH,
         }
     }
 }
@@ -346,7 +342,6 @@ pub fn start_with(
         clock,
         scheduler: Arc::clone(&scheduler),
         retry_after_secs: cfg.retry_after_secs,
-        direct_batch_rows: cfg.direct_batch_rows.max(1),
     });
     start_engine(
         &cfg,
@@ -442,13 +437,12 @@ struct HandlerCtx {
     clock: ServerClock,
     scheduler: Arc<BatchScheduler>,
     retry_after_secs: u32,
-    direct_batch_rows: usize,
 }
 
 /// Serve one dispatched request on a handler thread. Most endpoints
-/// compute synchronously and answer through the responder; small
-/// `/predict` requests go asynchronous through the batch scheduler, and
-/// their accounting + response happen in the completion.
+/// compute synchronously and answer through the responder; `/predict`
+/// requests go asynchronous through the batch scheduler, and their
+/// accounting + response happen in the completion.
 fn handle_job(job: Job, ctx: &HandlerCtx) {
     let Job {
         req,
@@ -500,7 +494,6 @@ pub(crate) fn account_request(endpoint: usize, status: u16, started: Option<Inst
 /// [`crate::registry`] uses `CHILD_RESOLVE` for its `registry.resolve`
 /// span via the thread-local context.
 const CHILD_QUEUE: u64 = 1;
-const CHILD_PREDICT: u64 = 2;
 pub(crate) const CHILD_RESOLVE: u64 = 3;
 
 /// One `/predict` request's tracing state: the `serve.request` span in
@@ -570,10 +563,8 @@ impl RequestTrace {
 
 /// The `/predict` path of the event-driven server. Parse, validate, and
 /// resolve run here on the handler thread (errors answer immediately);
-/// small-row requests then submit to the cross-connection
-/// [`BatchScheduler`] and finish in its completion, while
-/// already-batch-sized requests predict directly — coalescing them buys
-/// nothing.
+/// the rows then go to the cross-connection [`BatchScheduler`], whatever
+/// their count, and the request finishes in its completion.
 fn handle_predict(
     req: ParsedRequest,
     responder: Responder,
@@ -602,52 +593,6 @@ fn handle_predict(
     };
     drop(trace_scope);
     let rows = plan.rows.len();
-    if rows >= ctx.direct_batch_rows {
-        // Already batch-sized: coalescing with other requests buys
-        // nothing, so predict directly and keep the scheduler queue for
-        // the small requests that need it.
-        drop(hint);
-        let predict_started = Instant::now();
-        let outcome = match plan.model.predict_checked(&plan.rows) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                if let Some(t) = trace {
-                    t.finish(400, rows);
-                }
-                account_request(endpoint, 400, started);
-                responder.send(400, JSON_CONTENT_TYPE, error_body(&e.to_string()), None);
-                return;
-            }
-        };
-        if let Some(t) = &trace {
-            t.record_child(CHILD_PREDICT, "serve.predict", predict_started, rows);
-        }
-        span.mark("predict");
-        let body = serde_json::to_string(&PredictResponse {
-            model: plan.key.to_string(),
-            predictions: outcome.predictions,
-            cache_hits: outcome.cache_hits,
-            micros: start.elapsed().as_micros() as u64,
-        });
-        span.mark("serialize");
-        match body {
-            Ok(body) => {
-                if let Some(t) = trace {
-                    t.finish(200, rows);
-                }
-                account_request(endpoint, 200, started);
-                responder.send(200, JSON_CONTENT_TYPE, body, None);
-            }
-            Err(e) => {
-                if let Some(t) = trace {
-                    t.finish(500, rows);
-                }
-                account_request(endpoint, 500, started);
-                responder.send(500, JSON_CONTENT_TYPE, error_body(&e.to_string()), None);
-            }
-        }
-        return;
-    }
     let permit = match ctx.scheduler.try_reserve(rows) {
         Ok(permit) => permit,
         Err(e) => {

@@ -27,10 +27,10 @@
 //! adopts the winner's `Arc` (training is deterministic, so both built
 //! the same model).
 
-use crate::batch::{BatchEngine, BatchOutcome};
 use crate::persist::{ModelKind, SavedModel, TrainedMl, FORMAT_VERSION};
 use crate::workload::WorkloadId;
 use crate::ServeError;
+use lam_core::batch::{BatchEngine, BatchOutcome};
 use lam_core::predict::PredictRow;
 use lam_ml::ensemble::GradientBoostingRegressor;
 use lam_ml::forest::{ExtraTreesRegressor, RandomForestRegressor};

@@ -214,8 +214,8 @@ fn one_forced_trace_spans_gateway_and_both_shards() {
     }
 
     // Each backend continued its leg: every serve.request hangs off a
-    // shard leg, and at least one serve-side child (queue/predict) hangs
-    // off a serve.request.
+    // shard leg, and at least one serve.queue child (every /predict's
+    // submit-to-completion span) hangs off a serve.request.
     let shard_ids: Vec<&String> = shards.iter().map(|(_, id, _, _)| id).collect();
     let serve_requests: Vec<_> = spans.iter().filter(|s| s.0 == "serve.request").collect();
     assert_eq!(serve_requests.len(), 2, "spans: {spans:?}");
@@ -228,7 +228,7 @@ fn one_forced_trace_spans_gateway_and_both_shards() {
     let serve_ids: Vec<&String> = serve_requests.iter().map(|(_, id, _, _)| id).collect();
     let children = spans
         .iter()
-        .filter(|s| s.0 == "serve.queue" || s.0 == "serve.predict")
+        .filter(|s| s.0 == "serve.queue")
         .filter(|(_, _, parent, _)| serve_ids.contains(&parent))
         .count();
     assert!(children >= 1, "no serve-side child spans: {spans:?}");

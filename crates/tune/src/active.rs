@@ -14,10 +14,9 @@ use crate::oracle::BudgetedOracle;
 use crate::report::TuneReport;
 use crate::strategy::TuneRequest;
 use crate::TuneError;
-use lam_core::batch::BatchEngine;
+use lam_core::batch::DEFAULT_MICRO_BATCH;
 use lam_core::catalog::DynWorkload;
 use lam_core::hybrid::HybridModel;
-use lam_core::predict::PredictRow;
 use lam_ml::forest::ExtraTreesRegressor;
 use lam_ml::model::Regressor;
 use lam_ml::rng::{splitmix64, Xoshiro256};
@@ -134,7 +133,7 @@ pub fn active_learn(
             break hybrid;
         }
         let unmeasured_rows: Vec<Vec<f64>> = unmeasured.iter().map(|&i| rows[i].clone()).collect();
-        let preds = crate::strategy::score_rows(&hybrid, &unmeasured_rows);
+        let preds = crate::strategy::score_rows(&hybrid, &unmeasured_rows, DEFAULT_MICRO_BATCH);
         let mut order: Vec<usize> = (0..unmeasured.len()).collect();
         order.sort_by(|&a, &b| preds[a].total_cmp(&preds[b]).then(a.cmp(&b)));
         for &pos in order.iter().take(options.proposals_per_round) {
@@ -148,8 +147,7 @@ pub fn active_learn(
     // Final ranking of the whole space under the last refit; the report
     // assembly (measured-first ordering, tie-breaks) is the same code
     // path every fixed-model strategy uses.
-    let view: &dyn PredictRow = &model;
-    let predictions = BatchEngine::default().predict(view, &rows).predictions;
+    let predictions = crate::strategy::score_rows(&model, &rows, DEFAULT_MICRO_BATCH);
     let scored: BTreeMap<usize, f64> = predictions.iter().copied().enumerate().collect();
     crate::strategy::finalize(
         workload,

@@ -4,7 +4,7 @@
 //! paper's hybrid models exist for, promoted from ad-hoc example code to
 //! a first-class subsystem. Everything runs over the object-safe
 //! [`lam_core::catalog::DynWorkload`] surface and scores models through
-//! the shared batched executor ([`lam_core::batch::BatchEngine`]), so a
+//! their own batch entry point ([`lam_core::predict::PredictRow`]), so a
 //! scenario registered at runtime is tunable exactly like a built-in.
 //!
 //! Three layers:

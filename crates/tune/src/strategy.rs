@@ -7,7 +7,7 @@
 //! which configurations get measured:
 //!
 //! * [`ExhaustiveRank`] — model-score the whole space in micro-batches
-//!   through the shared executor, measure the top `budget` predictions.
+//!   across cores, measure the top `budget` predictions.
 //! * [`RandomSearch`] — the model-free baseline: measure a seeded uniform
 //!   sample of the space.
 //! * [`LocalSearch`] — hill-climb on the parameter lattice
@@ -27,10 +27,11 @@
 use crate::oracle::BudgetedOracle;
 use crate::report::{RankedConfig, TuneReport};
 use crate::TuneError;
-use lam_core::batch::BatchEngine;
+use lam_core::batch::DEFAULT_MICRO_BATCH;
 use lam_core::catalog::DynWorkload;
 use lam_core::predict::PredictRow;
 use lam_ml::rng::Xoshiro256;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// What a tuning run is allowed to spend and what it must return.
@@ -108,18 +109,19 @@ pub fn all_strategies() -> Vec<Box<dyn Tuner>> {
 /// The stable names [`by_name`] resolves, in canonical order.
 pub const STRATEGY_NAMES: [&str; 4] = ["exhaustive", "random", "local", "halving"];
 
-/// Model-score `rows`. Sets larger than one micro-batch go through the
-/// shared executor for the parallel fan-out; small sets (a local-search
-/// frontier, a random sample) skip its cache and shard setup — within
-/// one call every row is distinct, so the cache could never hit anyway —
-/// but still call the model's own batch entry point, so arena-compiled
-/// guides evaluate the frontier block-wise instead of row at a time.
-pub(crate) fn score_rows(model: &dyn PredictRow, rows: &[Vec<f64>]) -> Vec<f64> {
-    if rows.len() <= lam_core::batch::DEFAULT_MICRO_BATCH {
-        model.predict_rows(rows)
-    } else {
-        BatchEngine::default().predict(model, rows).predictions
+/// Model-score `rows` in `chunk`-row batches through the model's own
+/// batch entry point, so arena-compiled guides evaluate block-wise and a
+/// served model answers through its own cache. More than one chunk fans
+/// out across cores: scoring a space amortizes the fan-out's thread
+/// spawns, which a single serving request could not.
+pub(crate) fn score_rows(model: &dyn PredictRow, rows: &[Vec<f64>], chunk: usize) -> Vec<f64> {
+    let chunk = chunk.max(1);
+    if rows.len() <= chunk {
+        return model.predict_rows(rows);
     }
+    let chunks: Vec<&[Vec<f64>]> = rows.chunks(chunk).collect();
+    let scored: Vec<Vec<f64>> = chunks.par_iter().map(|c| model.predict_rows(c)).collect();
+    scored.concat()
 }
 
 /// Indices `0..scores.len()` sorted by ascending score, ties by index —
@@ -196,7 +198,7 @@ pub struct ExhaustiveRank {
 impl Default for ExhaustiveRank {
     fn default() -> Self {
         Self {
-            micro_batch: lam_core::batch::DEFAULT_MICRO_BATCH,
+            micro_batch: DEFAULT_MICRO_BATCH,
         }
     }
 }
@@ -214,8 +216,7 @@ impl Tuner for ExhaustiveRank {
     ) -> Result<TuneReport, TuneError> {
         request.validate(workload)?;
         let rows = workload.feature_rows();
-        let engine = BatchEngine::new(self.micro_batch, self.micro_batch);
-        let predictions = engine.predict(model, &rows).predictions;
+        let predictions = score_rows(model, &rows, self.micro_batch);
         let scored: BTreeMap<usize, f64> = predictions.iter().copied().enumerate().collect();
         let mut oracle = BudgetedOracle::new(workload, request.budget);
         for index in rank_ascending(&predictions) {
@@ -249,7 +250,7 @@ impl Tuner for RandomSearch {
         let mut rng = Xoshiro256::seeded(request.seed);
         let sample = rng.sample_indices(rows.len(), request.budget.min(rows.len()));
         let sample_rows: Vec<Vec<f64>> = sample.iter().map(|&i| rows[i].clone()).collect();
-        let predictions = score_rows(model, &sample_rows);
+        let predictions = score_rows(model, &sample_rows, DEFAULT_MICRO_BATCH);
         let scored: BTreeMap<usize, f64> = sample
             .iter()
             .copied()
@@ -396,7 +397,7 @@ impl Tuner for SuccessiveHalving {
 
         // Model scoring costs no oracle budget, so score the whole space
         // once; the exploit half of the pool is its top predictions.
-        let predictions = score_rows(model, &rows);
+        let predictions = score_rows(model, &rows, DEFAULT_MICRO_BATCH);
         let scored: BTreeMap<usize, f64> = predictions.iter().copied().enumerate().collect();
         let rank = rank_ascending(&predictions);
         let exploit_n = pool_size.div_ceil(2);
